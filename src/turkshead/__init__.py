@@ -26,6 +26,7 @@ from .psi import (
     color_usage_ratio,
     min_common_prime_psi,
     p_divides_u,
+    prime_psi_matches,
     prime_psi_stats,
     psi_divides,
     psi_of_prime,
@@ -78,6 +79,7 @@ __all__ = [
     "mincol_exact",
     "mod_inverse",
     "p_divides_u",
+    "prime_psi_matches",
     "prime_psi_stats",
     "primes_up_to",
     "propagate_block",

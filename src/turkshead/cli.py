@@ -3,8 +3,8 @@
 Every computation the library offers is exposed as a subcommand, with one
 output-format flag (`plain` for humans, `json` for structured results, `csv`
 for tables).  Exit codes: 0 success, 1 invalid arguments, 2 work budget
-exceeded, 3 verification failure.  THK_BUDGET, THK_PSI_CAP, THK_FORMAT,
-THK_WORKERS, and THK_SEED override the defaults; explicit flags win.
+exceeded, 3 verification failure.  THK_BUDGET, THK_PSI_CAP and THK_FORMAT
+override the defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", "-f", choices=("plain", "json", "csv"), default=None)
     parser.add_argument("--budget", type=int, default=None, help="max triples for exhaustive scans")
-    parser.add_argument("--psi-cap", type=int, default=None, help="max residues a psi scan may visit")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes for prime sweeps")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; all algorithms are deterministic")
+    parser.add_argument(
+        "--psi-cap", type=int, default=None,
+        help="max residues the residue scan of psi and psi-table may visit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[], help="number of r-colorings of THK(3, n)")
@@ -158,7 +159,7 @@ def cmd_mincol(args, config: RunConfig) -> int:
 
 
 def cmd_construct(args, config: RunConfig) -> int:
-    q = psi_of_prime(args.p, config.psi_scan_cap).psi
+    q = psi_of_prime(args.p).psi
     coloring = (
         mincol.construct_odd_psi(args.p) if q % 2 else mincol.construct_even_psi(args.p)
     )
@@ -176,7 +177,7 @@ def cmd_construct(args, config: RunConfig) -> int:
 
 
 def cmd_stats(args, config: RunConfig) -> int:
-    stats = prime_psi_stats(args.prime_count, workers=config.worker_count)
+    stats = prime_psi_stats(args.prime_count)
     if config.output_format == "json":
         _emit_json(stats.to_json_dict())
     elif config.output_format == "csv":
@@ -260,8 +261,6 @@ def main(argv: list[str] | None = None) -> int:
             brute_force_budget=args.budget,
             psi_scan_cap=args.psi_cap,
             output_format=args.format,
-            worker_count=args.workers,
-            seed=args.seed,
         )
         return _COMMANDS[args.command](args, config)
     except BudgetExceededError as exc:

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 
 DEFAULT_BRUTE_FORCE_BUDGET = 10**6   # max triples an exhaustive scan may visit
-DEFAULT_PSI_SCAN_CAP = 10**7         # max residues a psi scan may examine
+DEFAULT_PSI_SCAN_CAP = 10**7         # max residues a psi residue scan may examine
 OUTPUT_FORMATS = ("plain", "json", "csv")
 
 ENV_PREFIX = "THK_"
@@ -25,8 +25,6 @@ class RunConfig:
     brute_force_budget: int = DEFAULT_BRUTE_FORCE_BUDGET
     psi_scan_cap: int = DEFAULT_PSI_SCAN_CAP
     output_format: str = "plain"
-    worker_count: int = 1
-    seed: int | None = None  # reserved; every algorithm here is deterministic
 
     def __post_init__(self) -> None:
         if self.brute_force_budget <= 0:
@@ -35,23 +33,19 @@ class RunConfig:
             raise ValueError("psi_scan_cap must be positive")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output_format must be one of {OUTPUT_FORMATS}")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
 
 def config_from_env(**overrides) -> RunConfig:
     """Build a RunConfig from THK_* environment variables plus explicit overrides.
 
-    Recognized variables: THK_BUDGET, THK_PSI_CAP, THK_FORMAT, THK_WORKERS,
-    THK_SEED.  Explicit keyword overrides win over the environment.
+    Recognized variables: THK_BUDGET, THK_PSI_CAP, THK_FORMAT.  Explicit
+    keyword overrides win over the environment.
     """
     values = {}
     mapping = {
         "BUDGET": ("brute_force_budget", int),
         "PSI_CAP": ("psi_scan_cap", int),
         "FORMAT": ("output_format", str),
-        "WORKERS": ("worker_count", int),
-        "SEED": ("seed", int),
     }
     for suffix, (field, cast) in mapping.items():
         raw = os.environ.get(ENV_PREFIX + suffix)

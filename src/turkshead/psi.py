@@ -10,7 +10,6 @@ prime r other than 5, THK(3, psi(r)) is the shortest braid with one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,28 +49,47 @@ def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
     raise AssertionError("unreachable")
 
 
-def psi_of_prime(p: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
-    """psi at a prime, via the divisibility dichotomy instead of a long scan.
+def _rank_of_apparition(p: int, small_primes: list[int] | None = None) -> tuple[int, int]:
+    """(psi(p), rank tests made) for a prime p, by the order algorithm.
 
-    For an odd prime p != 5, psi(p) divides p+1 or (p-1)/2 according to the
-    sign of 5^((p-1)/2) mod p, and every index q with p | u_{q-1} is a
-    multiple of psi(p); so psi(p) is the least divisor d of the applicable
-    bound with u_{d-1} == 0 mod p.  Checking one divisor costs O(log p), so
-    this stays fast even across large prime sweeps.  Agrees with the stream
-    scan everywhere (see tests); p = 2 and p = 5 just scan.
+    The bound B is p + 1 or (p - 1)/2 by the sign of 5^((p-1)/2) mod p, or
+    30 for p = 2 and p = 5.  p | u_{B-1} is asserted; since the indices q
+    with p | u_{q-1} are exactly the multiples of psi(p), each prime l | B is
+    then divided out of B for as long as p | u_{B/l - 1} still holds.
+    `small_primes` must cover isqrt(B) (see zmod.least_prime_factors).
+    """
+    if p in (2, 5):
+        bound = 30
+    else:
+        bound = p + 1 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
+    if seq.u_mod(bound - 1, p) != 0:
+        raise AssertionError(f"{p} does not divide u_{bound - 1}")
+    q, tests = bound, 1
+    for ell in zmod.least_prime_factors(bound, small_primes):
+        while q % ell == 0:
+            tests += 1
+            if seq.u_mod(q // ell - 1, p) != 0:
+                break
+            q //= ell
+    return q, tests
+
+
+def psi_of_prime(p: int) -> PsiValue:
+    """psi at a prime, by the rank-of-apparition order algorithm.
+
+    For an odd prime p != 5, psi(p) divides p + 1 or (p - 1)/2 according to
+    the sign of 5^((p-1)/2) mod p (psi(2) and psi(5) divide 30), and every
+    index q with p | u_{q-1} is a multiple of psi(p) (Wall 1960; Vinson
+    1963).  So starting from that bound, each prime factor is divided out
+    while p still divides the term before the smaller index.  Each rank test
+    costs O(log p) and no residues are scanned, so no scan cap applies; on
+    this route `steps_scanned` counts the rank tests, the check at the bound
+    included.  Agrees with the stream scan everywhere (see tests).
     """
     if not zmod.is_prime(p):
         raise ValueError(f"psi_of_prime needs a prime, got {p}")
-    if p in (2, 5):
-        return psi(p, cap)
-    bound = p + 1 if zmod.legendre5(p) == -1 else (p - 1) // 2
-    if bound > cap:
-        raise BudgetExceededError(f"psi({p}) search bound {bound} exceeds cap {cap}")
-    candidates = zmod.divisors(bound)
-    for steps, d in enumerate(candidates, start=1):
-        if seq.u_mod(d - 1, p) == 0:
-            return PsiValue(p, d, steps)
-    raise AssertionError(f"no divisor of {bound} works for p = {p}")
+    q, tests = _rank_of_apparition(p)
+    return PsiValue(p, q, tests)
 
 
 def psi_divides(r: int, m: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> bool:
@@ -144,31 +162,29 @@ class PrimeStats:
         }
 
 
-def _count_matched(primes: list[int]) -> int:
-    return sum(1 for p in primes if psi_of_prime(p).psi == p + 1)
+def prime_psi_matches(count: int) -> list[bool]:
+    """For each of the first `count` primes, ascending, whether psi(p) = p + 1.
+
+    The sieve that lists the primes proves them prime, and one list of small
+    primes up to the square root of the largest bound factors every bound.
+    """
+    if count < 1:
+        raise ValueError("prime count must be positive")
+    primes = zmod.first_primes(count)
+    small_primes = zmod.primes_up_to(math.isqrt(max(primes[-1] + 1, 30)))
+    return [_rank_of_apparition(p, small_primes)[0] == p + 1 for p in primes]
 
 
-def prime_psi_stats(count: int, workers: int = 1) -> PrimeStats:
+def prime_psi_stats(count: int) -> PrimeStats:
     """How many of the first `count` primes have psi(p) = p + 1.
 
     p = 2 is one of them (psi(2) = 3 = 2 + 1) and is counted, so the first
     10,000 primes give 3,970; the published 3,969 counts odd primes only.
 
-    psi is computed fully for every prime (the divisor route still returns
-    the true minimum, not just a test at one index).  With workers > 1 the
-    primes are sharded into contiguous ranges whose tallies are summed, so
-    the result is independent of the worker count.
+    psi is computed fully for every prime (the order algorithm returns the
+    true minimum, not just a test at one index).
     """
-    if count < 1:
-        raise ValueError("prime count must be positive")
-    primes = zmod.first_primes(count)
-    if workers <= 1 or count < 64:
-        matched = _count_matched(primes)
-    else:
-        chunk = -(-len(primes) // workers)
-        shards = [primes[i : i + chunk] for i in range(0, len(primes), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            matched = sum(pool.map(_count_matched, shards))
+    matched = sum(prime_psi_matches(count))
     return PrimeStats(count, matched, Fraction(matched, count))
 
 

@@ -9,10 +9,15 @@ u extends to every negative index through the reflection u_n = -u_{-n-2},
 which is the proven identity rather than a backward run of the recurrence.
 v is only defined from its seeds onward; indices below -3 are rejected.
 
+Both interleave the Fibonacci numbers F and the Lucas numbers L:
+
+    u_{2k-1} = F_{2k}      u_{2k} = L_{2k+1}
+    v_{2k}   = F_{2k-1}    v_{2k+1} = L_{2k}
+
 Values grow like phi^n, so exact terms are plain Python integers and modular
 work goes through dedicated mod-r helpers: an O(1)-state residue stream and a
-logarithmic-time single-term evaluator built on powers of [[3, -1], [1, 0]]
-(the recurrence splits into even- and odd-index chains of that 2x2 map).
+logarithmic-time single-term evaluator built on Fibonacci fast doubling
+through these identities.
 """
 
 from __future__ import annotations
@@ -49,22 +54,17 @@ def v(n: int) -> int:
 
 # -- modular evaluation ------------------------------------------------------
 
-def _pair_step_power(k: int, r: int) -> tuple[int, int, int, int]:
-    """[[3, -1], [1, 0]]^k mod r (k >= 0), by binary exponentiation."""
-    a, b, c, d = 1 % r, 0, 0, 1 % r
-    e, f, g, h = 3 % r, (-1) % r, 1 % r, 0
-    while k:
-        if k & 1:
-            a, b, c, d = (
-                (a * e + b * g) % r, (a * f + b * h) % r,
-                (c * e + d * g) % r, (c * f + d * h) % r,
-            )
-        e, f, g, h = (
-            (e * e + f * g) % r, (e * f + f * h) % r,
-            (g * e + h * g) % r, (g * f + h * h) % r,
-        )
-        k >>= 1
-    return a, b, c, d
+def _fib_pair(m: int, r: int) -> tuple[int, int]:
+    """(F_m mod r, F_{m+1} mod r) for m >= 0, by fast doubling.
+
+    F_{2k} = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2.
+    """
+    a, b = 0, 1
+    for bit in bin(m)[2:]:
+        a, b = a * (2 * b - a) % r, (a * a + b * b) % r
+        if bit == "1":
+            a, b = b, (a + b) % r
+    return a, b
 
 
 def u_mod(n: int, r: int) -> int:
@@ -74,11 +74,10 @@ def u_mod(n: int, r: int) -> int:
         return 0
     if n < 0:
         return -u_mod(-n - 2, r) % r
-    k, odd = divmod(n, 2)
-    a, b, _, _ = _pair_step_power(k, r)
-    if odd:
-        return a  # odd-index chain seeds: (u_1, u_-1) = (1, 0)
-    return (a - b) % r  # even-index chain seeds: (u_0, u_-2) = (1, -1)
+    f_n, f_next = _fib_pair(n, r)
+    if n % 2:
+        return f_next  # u_n = F_{n+1}
+    return (2 * f_n + f_next) % r  # u_n = L_{n+1} = F_n + F_{n+2}
 
 
 def v_mod(n: int, r: int) -> int:
@@ -88,11 +87,10 @@ def v_mod(n: int, r: int) -> int:
         raise ValueError(f"v_n is only defined for n >= -3, got {n}")
     if n < 1:
         return v(n) % r
-    k, odd = divmod(n, 2)
-    a, b, _, _ = _pair_step_power(k, r)
-    if odd:
-        return (2 * a + 3 * b) % r  # seeds (v_1, v_-1) = (2, 3)
-    return (a + 2 * b) % r          # seeds (v_0, v_-2) = (1, 2)
+    f_prev, f_n = _fib_pair(n - 1, r)
+    if n % 2:
+        return (2 * f_n - f_prev) % r  # v_n = L_{n-1} = 2 F_n - F_{n-1}
+    return f_prev  # v_n = F_{n-1}
 
 
 def u_mod_stream(r: int) -> Iterator[int]:

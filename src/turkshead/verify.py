@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mincol, seq, thk, zmod
-from .psi import color_usage_ratio, prime_psi_stats, psi, psi_of_prime
+from .psi import color_usage_ratio, prime_psi_matches, psi, psi_of_prime
 from .config import RunConfig
 
 #: Frozen reference values for psi(r), 2 <= r <= 185, kept verbatim from the
@@ -172,23 +172,26 @@ def _check_psi_errata() -> CheckResult:
 
 def suite_prime_stats(config: RunConfig) -> list[CheckResult]:
     started = time.perf_counter()
-    small = prime_psi_stats(1000, workers=config.worker_count)
-    window_ok = 0.37 <= small.ratio <= 0.42
+    # one sweep serves both checks: matches[i] is psi(p) = p + 1 at the
+    # (i+1)-th prime, so matches[0] is p = 2
+    matches = prime_psi_matches(10000)
+    small_matched = sum(matches[:1000])
+    small_ratio = Fraction(small_matched, 1000)
+    window_ok = 0.37 <= small_ratio <= 0.42
     small_check = CheckResult(
         "prime-stats",
         "first-1000-window",
         window_ok,
-        f"matched {small.matched}/1000, ratio {float(small.ratio):.4f} "
+        f"matched {small_matched}/1000, ratio {float(small_ratio):.4f} "
         f"{'inside' if window_ok else 'outside'} [0.37, 0.42]",
     )
-    full = prime_psi_stats(10000, workers=config.worker_count)
-    # the reference counts odd primes only; take p = 2 back out of the sweep
-    odd_matched = full.matched - (psi_of_prime(2).psi == 2 + 1)
+    # the reference counts odd primes only; leave p = 2 out
+    odd_matched = sum(matches[1:])
     elapsed = time.perf_counter() - started
     exact_ok = odd_matched == PRIME_STATS_REFERENCE_10000
     detail = (
         f"odd primes: matched {odd_matched} vs reference {PRIME_STATS_REFERENCE_10000}; "
-        f"all primes: matched {full.matched}/10000 [{elapsed:.1f}s]"
+        f"all primes: matched {sum(matches)}/10000 [{elapsed:.1f}s]"
     )
     full_check = CheckResult("prime-stats", "first-10000-exact", exact_ok, detail)
     return [small_check, full_check]
@@ -538,8 +541,6 @@ def suite_color_usage(config: RunConfig) -> list[CheckResult]:
             failures.append(f"p={p}: ratio {float(ratio):.4f} outside [{float(lo)}, {float(hi)}]")
     spread = f"observed range [{float(min(ratios)):.4f}, {float(max(ratios)):.4f}]"
     elapsed = time.perf_counter() - started
-    if failures:
-        failures.append(spread)
     return [
         _result(
             "color-usage",

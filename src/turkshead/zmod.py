@@ -105,26 +105,24 @@ def first_primes(count: int) -> list[int]:
     return primes[:count]
 
 
-def least_prime_factors(m: int) -> dict[int, int]:
-    """Factorization of m >= 1 by trial division, as {prime: exponent} ascending."""
+def least_prime_factors(m: int, primes: list[int] | None = None) -> dict[int, int]:
+    """Factorization of m >= 1 by trial division, as {prime: exponent} ascending.
+
+    `primes` are the trial divisors: all primes up to at least isqrt(m), in
+    ascending order.  When omitted they are sieved for this call; a caller
+    that factors many numbers passes one shared list instead.
+    """
     if m < 1:
         raise ValueError(f"cannot factor {m}")
     factors: dict[int, int] = {}
     x = m
-    for p in primes_up_to(math.isqrt(m)):
+    for p in primes_up_to(math.isqrt(m)) if primes is None else primes:
+        if p * p > x:
+            break
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
-        if x == 1:
-            break
     if x > 1:
         factors[x] = factors.get(x, 0) + 1
     return factors
 
-
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m >= 1, ascending."""
-    divs = [1]
-    for p, e in least_prime_factors(m).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)

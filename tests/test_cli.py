@@ -86,17 +86,21 @@ class TestExitCodes:
     def test_construct_rejects_composite(self, capsys):
         assert run(capsys, "construct", "9")[0] == 1
 
+    def test_psi_cap_bounds_residue_scans_only(self, capsys):
+        # stats takes the prime route, which scans no residues
+        assert run(capsys, "--psi-cap", "10", "stats", "10")[0] == 0
+        assert run(capsys, "--psi-cap", "10", "psi", "13")[0] == 2
+
+    def test_removed_flags_are_usage_errors(self, capsys):
+        assert run(capsys, "--workers", "2", "stats", "5")[0] == 1
+        assert run(capsys, "--seed", "7", "det", "2")[0] == 1
+
 
 class TestDeterminism:
     def test_psi_table_byte_identical(self, capsys):
         _, first, _ = run(capsys, "-f", "csv", "psi-table", "--max", "60")
         _, second, _ = run(capsys, "-f", "csv", "psi-table", "--max", "60")
         assert first == second
-
-    def test_stats_independent_of_workers(self, capsys):
-        _, serial, _ = run(capsys, "-f", "json", "--workers", "1", "stats", "200")
-        _, sharded, _ = run(capsys, "-f", "json", "--workers", "3", "stats", "200")
-        assert serial == sharded
 
 
 class TestEnvironmentOverrides:
@@ -115,5 +119,5 @@ class TestEnvironmentOverrides:
         assert run(capsys, "psi", "150")[0] == 2
 
     def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("THK_WORKERS", "lots")
+        monkeypatch.setenv("THK_BUDGET", "lots")
         assert run(capsys, "det", "2")[0] == 1

@@ -45,6 +45,27 @@ class TestPsiOfPrime:
         assert psi.psi_of_prime(2).psi == 3
         assert psi.psi_of_prime(5).psi == 10
 
+    def test_agrees_with_scan_for_all_primes_to_3000(self):
+        for p in zmod.primes_up_to(3000):
+            assert psi.psi_of_prime(p).psi == psi.psi(p).psi
+
+    def test_no_scan_cap_on_the_prime_route(self):
+        # 10,000,103 is prime and its bound p + 1 exceeds the default scan cap
+        assert psi.psi_of_prime(10000103).psi == 10000104
+
+    def test_steps_count_rank_tests(self):
+        # 37: bound 38 = 2 * 19; the test at 38 passes, those at 19 and 2 fail
+        assert psi.psi_of_prime(37) == psi.PsiValue(37, 38, 3)
+
+    @given(st.integers(2, 9_999_991))  # 9,999,991 is the largest prime below 10^7
+    @settings(max_examples=200, deadline=None)
+    def test_result_is_the_rank_of_apparition(self, n):
+        p = next(m for m in range(n, n + 200) if zmod.is_prime(m))
+        q = psi.psi_of_prime(p).psi
+        assert seq.u_mod(q - 1, p) == 0
+        for ell in zmod.least_prime_factors(q):
+            assert seq.u_mod(q // ell - 1, p) != 0
+
 
 class TestPsiDivides:
     def test_examples(self):
@@ -138,10 +159,15 @@ class TestPrimeStats:
         assert stats.matched == 403
         assert stats.ratio == Fraction(403, 1000)
 
-    def test_worker_sharding_is_invisible(self):
-        serial = psi.prime_psi_stats(200, workers=1)
-        sharded = psi.prime_psi_stats(200, workers=3)
-        assert serial == sharded
+    @pytest.mark.parametrize("count, matched", [(1, 1), (2, 2), (3, 2)])
+    def test_sweeps_through_the_special_primes(self, count, matched):
+        # the sweep's shared trial divisors must cover the bound 30 of p = 2, 5
+        assert psi.prime_psi_stats(count).matched == matched
+
+    def test_matches_flag_each_prime(self):
+        primes = zmod.first_primes(300)
+        expected = [psi.psi(p).psi == p + 1 for p in primes]
+        assert psi.prime_psi_matches(300) == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,14 @@ class TestModular:
     def test_v_mod_matches_exact(self, n, r):
         assert seq.v_mod(n, r) == seq.v(n) % r
 
+    @given(st.integers(-150, 400), st.integers(2**64 + 1, 2**96))
+    def test_u_mod_matches_exact_above_64_bits(self, n, r):
+        assert seq.u_mod(n, r) == seq.u(n) % r
+
+    @given(st.integers(-3, 400), st.integers(2**64 + 1, 2**96))
+    def test_v_mod_matches_exact_above_64_bits(self, n, r):
+        assert seq.v_mod(n, r) == seq.v(n) % r
+
     def test_stream_mod_2(self):
         stream = seq.u_mod_stream(2)
         assert [next(stream) for _ in range(6)] == [1, 1, 0, 1, 1, 0]

@@ -94,10 +94,6 @@ class TestPrimesAndFactors:
         with pytest.raises(ValueError):
             zmod.least_prime_factors(0)
 
-    def test_divisors(self):
-        assert zmod.divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert zmod.divisors(1) == [1]
-
     @given(st.integers(1, 5000))
     def test_factorization_reassembles(self, m):
         product = 1
@@ -105,3 +101,8 @@ class TestPrimesAndFactors:
             assert zmod.is_prime(p)
             product *= p**e
         assert product == m
+
+    @given(st.integers(1, 5000))
+    def test_shared_trial_divisors_give_the_same_factors(self, m):
+        shared = zmod.primes_up_to(70)  # covers isqrt(5000)
+        assert zmod.least_prime_factors(m, shared) == zmod.least_prime_factors(m)
