@@ -16,7 +16,6 @@ from .mincol import (
     determinant,
     estimate,
     has_nontrivial,
-    mincol_bounds,
     mincol_exact,
     saito_classify,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "lift_coloring",
     "min_colors_standard",
     "min_common_prime_psi",
-    "mincol_bounds",
     "mincol_exact",
     "mod_inverse",
     "p_divides_u",

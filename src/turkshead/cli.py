@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import time
 
 from . import mincol, thk, verify, zmod
 from .config import BudgetExceededError, RunConfig, config_from_env
@@ -101,8 +102,17 @@ def cmd_count(args, config: RunConfig) -> int:
 
 
 def cmd_det(args, config: RunConfig) -> int:
-    value = mincol.determinant(args.n).value
     _no_csv(config.output_format, "det")
+    # decided from n: computing and printing a determinant too long to
+    # convert to decimal would only fail after the work
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = mincol.determinant_digits(args.n)
+    if limit and digits > limit:
+        raise BudgetExceededError(
+            f"det THK(3, {args.n}) has {digits} decimal digits, above the "
+            f"interpreter's integer string limit of {limit}"
+        )
+    value = mincol.determinant(args.n).value
     if config.output_format == "json":
         _emit_json({"n": args.n, "determinant": value})
     else:
@@ -214,11 +224,15 @@ def cmd_usage(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
-    if args.suite == "all":
-        results = verify.run_all(config)
-    else:
-        results = verify.run_suite(args.suite, config)
     _no_csv(config.output_format, "verify")
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    results = []
+    for name in names:
+        # timings go to stderr so that stdout stays byte-identical across runs
+        started = time.perf_counter()
+        results.extend(verify.run_suite(name, config))
+        elapsed = time.perf_counter() - started
+        print(f"turkshead: verify {name} took {elapsed:.1f}s", file=sys.stderr)
     if config.output_format == "json":
         _emit_json(
             [

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import seq, zmod
+from . import seq, thk, zmod
 from .psi import min_common_prime_psi, psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import (
@@ -35,11 +35,8 @@ def count_colorings(n: int, r: int) -> int:
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    um = seq.u_mod(n - 1, r)
-    g = math.gcd(um, r)
-    if n % 2 == 1:
-        return g * g * r
-    return math.gcd(5 * um % r, r) * g * r
+    gu, g5 = thk._reduced_system_params(n, r)
+    return r * gu * g5
 
 
 @dataclass(frozen=True)
@@ -56,14 +53,23 @@ def determinant(n: int) -> Determinant:
     return Determinant(n, um * um if n % 2 == 1 else 5 * um * um)
 
 
+def determinant_digits(n: int) -> int:
+    """Decimal digits of det THK(3, n), from n alone, for n >= 1.
+
+    The determinant is L_{2n} - 2 = phi^{2n} + phi^{-2n} - 2, just below
+    phi^{2n}, so it has floor(2n log10(phi)) + 1 digits (checked against the
+    exact value in the tests).
+    """
+    return math.floor(2 * n * math.log10((1 + math.sqrt(5)) / 2)) + 1
+
+
 def has_nontrivial(n: int, r: int) -> bool:
     """Whether THK(3, n) admits a nontrivial r-coloring."""
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    if math.gcd(seq.u_mod(n - 1, r), r) > 1:
-        return True
-    return n % 2 == 0 and r % 5 == 0
+    gu, g5 = thk._reduced_system_params(n, r)
+    return gu * g5 > 1
 
 
 # -- classification by the least common prime ---------------------------------
@@ -75,17 +81,11 @@ class SaitoClass:
     least_common_prime: int  # 1 when r and the determinant are coprime
 
 
-def _prime_divides_determinant(p: int, n: int) -> bool:
-    # det is u_{n-1}^2 times (5 for even n); avoids forming the big integer
-    if p == 5 and n % 2 == 0:
-        return True
-    return seq.u_mod(n - 1, p) == 0
-
-
 def least_common_prime(n: int, r: int) -> int:
     """Least prime dividing both r and det THK(3, n); 1 when coprime."""
     for p in zmod.least_prime_factors(r):
-        if _prime_divides_determinant(p, n):
+        # p divides the determinant exactly when a nontrivial p-coloring exists
+        if has_nontrivial(n, p):
             return p
     return 1
 
@@ -300,7 +300,10 @@ def _transport(base_tag: str, n: int, r: int) -> tuple[Coloring, list[str]]:
     return col, steps
 
 
-def _verdict(n: int, r: int, budget: int) -> MincolVerdict:
+def mincol_exact(
+    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
+) -> MincolVerdict:
+    """Exact minimum-color verdict where the rules allow, else honest bounds."""
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
@@ -361,18 +364,3 @@ def _verdict(n: int, r: int, budget: int) -> MincolVerdict:
         return MincolVerdict(n, r, "exact", 5, 5, witness, tuple(provenance))
     return MincolVerdict(n, r, "bounds", 5, colors, witness, tuple(provenance))
 
-
-def mincol_exact(
-    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> MincolVerdict:
-    """Exact minimum-color verdict where the rules allow, else honest bounds."""
-    return _verdict(n, r, budget)
-
-
-def mincol_bounds(
-    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> MincolVerdict:
-    """Bound-pair verdict; requires nontrivial colorings to exist."""
-    if n >= 1 and not has_nontrivial(n, check_modulus(r)):
-        raise ValueError(f"THK(3, {n}) mod {r} admits only trivial colorings")
-    return _verdict(n, r, budget)

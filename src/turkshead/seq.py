@@ -5,19 +5,19 @@ Both satisfy the four-term recurrence s_n = 3*s_{n-2} - s_{n-4}:
     u_{-3} = -1, u_{-2} = -1, u_{-1} = 0, u_0 = 1
     v_{-3} =  7, v_{-2} =  2, v_{-1} = 3, v_0 = 1
 
-u extends to every negative index through the reflection u_n = -u_{-n-2},
-which is the proven identity rather than a backward run of the recurrence.
-v is only defined from its seeds onward; indices below -3 are rejected.
-
 Both interleave the Fibonacci numbers F and the Lucas numbers L:
 
     u_{2k-1} = F_{2k}      u_{2k} = L_{2k+1}
     v_{2k}   = F_{2k-1}    v_{2k+1} = L_{2k}
 
-Values grow like phi^n, so exact terms are plain Python integers and modular
-work goes through dedicated mod-r helpers: an O(1)-state residue stream and a
-logarithmic-time single-term evaluator built on Fibonacci fast doubling
-through these identities.
+So u extends to every integer index through the reflection u_n = -u_{-n-2},
+and v satisfies v_n = v_{2-n}; v is only defined from its seeds
+onward, and indices below -3 are rejected.
+
+One Fibonacci fast-doubling core serves exact and modular terms alike:
+`u`/`v` run it over the plain integers, `u_mod`/`v_mod` mod r, each in
+O(log |n|) steps and with no cache of earlier terms.  The recurrence itself
+drives only `u_mod_stream`, the O(1)-state residue stream.
 """
 
 from __future__ import annotations
@@ -27,70 +27,70 @@ from collections.abc import Iterator
 
 from .zmod import check_modulus
 
-_U_SEED_OFFSET = 3
-_u_values = [-1, -1, 0, 1]  # u_{-3} .. u_0, extended upward on demand
-_v_values = [7, 2, 3, 1]    # v_{-3} .. v_0
 
-
-def u(n: int) -> int:
-    """Exact value of u_n for any integer n."""
-    if n < -3:
-        return -u(-n - 2)
-    idx = n + _U_SEED_OFFSET
-    while idx >= len(_u_values):
-        _u_values.append(3 * _u_values[-2] - _u_values[-4])
-    return _u_values[idx]
-
-
-def v(n: int) -> int:
-    """Exact value of v_n for n >= -3 (indices below the seeds are undefined)."""
-    if n < -3:
-        raise ValueError(f"v_n is only defined for n >= -3, got {n}")
-    idx = n + _U_SEED_OFFSET
-    while idx >= len(_v_values):
-        _v_values.append(3 * _v_values[-2] - _v_values[-4])
-    return _v_values[idx]
-
-
-# -- modular evaluation ------------------------------------------------------
-
-def _fib_pair(m: int, r: int) -> tuple[int, int]:
-    """(F_m mod r, F_{m+1} mod r) for m >= 0, by fast doubling.
+def _fib_pair(m: int, r: int | None) -> tuple[int, int]:
+    """(F_m, F_{m+1}) for m >= 0 by fast doubling, exact (r=None) or mod r.
 
     F_{2k} = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2.
+    The leading bit of m takes (F_0, F_1) to (F_1, F_2) = (1, 1), so the
+    loop starts there.
     """
-    a, b = 0, 1
-    for bit in bin(m)[2:]:
+    if m == 0:
+        return 0, 1
+    a, b = 1, 1
+    if r is None:
+        for bit in bin(m)[3:]:
+            a, b = a * (2 * b - a), a * a + b * b
+            if bit == "1":
+                a, b = b, a + b
+        return a, b
+    for bit in bin(m)[3:]:
         a, b = a * (2 * b - a) % r, (a * a + b * b) % r
         if bit == "1":
             a, b = b, (a + b) % r
     return a, b
 
 
-def u_mod(n: int, r: int) -> int:
-    """u_n mod r in O(log |n|) time, for any integer n."""
-    check_modulus(r)
-    if n == -1:
-        return 0
-    if n < 0:
-        return -u_mod(-n - 2, r) % r
-    f_n, f_next = _fib_pair(n, r)
+def _u_term(n: int, r: int | None) -> int:
+    """u_n exactly (r=None), or a representative of its class mod r."""
+    if n < -1:
+        return -_u_term(-n - 2, r)  # u_n = -u_{-n-2}
+    f_next, f_after = _fib_pair(n + 1, r)
     if n % 2:
         return f_next  # u_n = F_{n+1}
-    return (2 * f_n + f_next) % r  # u_n = L_{n+1} = F_n + F_{n+2}
+    return 2 * f_after - f_next  # u_n = L_{n+1} = F_n + F_{n+2}
+
+
+def _v_term(n: int, r: int | None) -> int:
+    """v_n exactly (r=None), or a representative of its class mod r."""
+    if n < -3:
+        raise ValueError(f"v_n is only defined for n >= -3, got {n}")
+    if n < 1:
+        n = 2 - n  # v_n = v_{2-n}
+    f_prev, f_n = _fib_pair(n - 1, r)
+    if n % 2:
+        return 2 * f_n - f_prev  # v_n = L_{n-1} = F_{n-2} + F_n
+    return f_prev  # v_n = F_{n-1}
+
+
+def u(n: int) -> int:
+    """Exact value of u_n for any integer n."""
+    return _u_term(n, None)
+
+
+def v(n: int) -> int:
+    """Exact value of v_n for n >= -3 (indices below the seeds are undefined)."""
+    return _v_term(n, None)
+
+
+def u_mod(n: int, r: int) -> int:
+    """u_n mod r in O(log |n|) time, for any integer n."""
+    return _u_term(n, check_modulus(r)) % r
 
 
 def v_mod(n: int, r: int) -> int:
     """v_n mod r in O(log n) time, n >= -3."""
-    check_modulus(r)
-    if n < -3:
-        raise ValueError(f"v_n is only defined for n >= -3, got {n}")
-    if n < 1:
-        return v(n) % r
-    f_prev, f_n = _fib_pair(n - 1, r)
-    if n % 2:
-        return (2 * f_n - f_prev) % r  # v_n = L_{n-1} = 2 F_n - F_{n-1}
-    return f_prev  # v_n = F_{n-1}
+    return _v_term(n, check_modulus(r)) % r
 
 
 def u_mod_stream(r: int) -> Iterator[int]:

@@ -17,7 +17,6 @@ the middle strand only repeats first-coordinate colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import seq
 from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError
@@ -38,17 +37,23 @@ def reduce_triple(t: Triple, r: int) -> Triple:
     return (t[0] % r, t[1] % r, t[2] % r)
 
 
+def _block_step(t: Triple, r: int | None) -> Triple:
+    """One block step with r already checked (or None for the integers)."""
+    a, b, c = t
+    if r is None:
+        return (2 * a - c, a, 2 * c - b)
+    return ((2 * a - c) % r, a % r, (2 * c - b) % r)
+
+
 def propagate_block(t: Triple, r: int | None = None) -> Triple:
     """Push colors (a, b, c) through one block: (2a - c, a, 2c - b).
 
     With r=None the update is over the plain integers (used by exact
     identity checks); otherwise entries are reduced mod r.
     """
-    a, b, c = t
-    if r is None:
-        return (2 * a - c, a, 2 * c - b)
-    check_modulus(r)
-    return ((2 * a - c) % r, a % r, (2 * c - b) % r)
+    if r is not None:
+        check_modulus(r)
+    return _block_step(t, r)
 
 
 def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
@@ -59,7 +64,7 @@ def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
         t = reduce_triple(t, r)
     out = [t]
     for _ in range(n):
-        out.append(propagate_block(out[-1], r))
+        out.append(_block_step(out[-1], r))
     return out
 
 
@@ -101,30 +106,29 @@ def c_power_iterated(n: int, r: int | None = None) -> Matrix:
     return result
 
 
-@lru_cache(maxsize=None)
-def matrix_entry_a(n: int) -> int:
-    """Exact top-left entry a_n of the n-th block-matrix power.
+def matrix_entry_a(n: int, r: int | None = None) -> int:
+    """Top-left entry a_n of the n-th block-matrix power, exact or mod r.
 
-    a_n = u_n v_n for n >= -3; below the v seeds the index identity
-    a_{n} = a_{n+1} - b_{n+1} - 1 extends it, using only u values.
+    a_n = u_n v_n for n >= -3.  Below the v seeds, a_{-m} is the top-left
+    cofactor of the m-th power (its determinant is 1, so its inverse is its
+    adjugate): a_{-m} = a_m b_{m-1} - a_{m-1} b_m.
     """
     if n >= -3:
-        return seq.u(n) * seq.v(n)
-    return matrix_entry_a(n + 1) - matrix_entry_b(n + 1) - 1
-
-
-def matrix_entry_b(n: int) -> int:
-    """Exact entry b_n = u_{n-2} u_{n-1} of the n-th block-matrix power."""
-    return seq.u(n - 2) * seq.u(n - 1)
-
-
-def _entry_a_mod(n: int, r: int) -> int:
-    if n >= -3:
+        if r is None:
+            return seq.u(n) * seq.v(n)
         return seq.u_mod(n, r) * seq.v_mod(n, r) % r
-    return matrix_entry_a(n) % r
+    m = -n
+    value = (
+        matrix_entry_a(m, r) * matrix_entry_b(m - 1, r)
+        - matrix_entry_a(m - 1, r) * matrix_entry_b(m, r)
+    )
+    return value if r is None else value % r
 
 
-def _entry_b_mod(n: int, r: int) -> int:
+def matrix_entry_b(n: int, r: int | None = None) -> int:
+    """Entry b_n = u_{n-2} u_{n-1} of the n-th block-matrix power, exact or mod r."""
+    if r is None:
+        return seq.u(n - 2) * seq.u(n - 1)
     return seq.u_mod(n - 2, r) * seq.u_mod(n - 1, r) % r
 
 
@@ -148,25 +152,15 @@ class TransferMatrix:
 
 def transfer_matrix(n: int, r: int | None = None) -> TransferMatrix:
     """Closed-form block-matrix power, exact (r=None) or mod r."""
-    if r is None:
-        a_n = matrix_entry_a(n)
-        a_prev = matrix_entry_a(n - 1)
-        b_prev, b_n, b_next = (matrix_entry_b(n + k) for k in (-1, 0, 1))
-        entries: Matrix = (
-            (a_n, b_n, -b_next),
-            (a_prev, b_prev, -b_n),
-            (-b_n, -a_prev, a_n),
-        )
-        return TransferMatrix(n, None, entries)
-    check_modulus(r)
-    a_n = _entry_a_mod(n, r)
-    a_prev = _entry_a_mod(n - 1, r)
-    b_prev, b_n, b_next = (_entry_b_mod(n + k, r) for k in (-1, 0, 1))
-    entries = (
-        (a_n, b_n, -b_next % r),
-        (a_prev, b_prev, -b_n % r),
-        (-b_n % r, -a_prev % r, a_n),
+    a_n, a_prev = matrix_entry_a(n, r), matrix_entry_a(n - 1, r)
+    b_prev, b_n, b_next = (matrix_entry_b(n + k, r) for k in (-1, 0, 1))
+    entries: Matrix = (
+        (a_n, b_n, -b_next),
+        (a_prev, b_prev, -b_n),
+        (-b_n, -a_prev, a_n),
     )
+    if r is not None:
+        entries = tuple(tuple(x % r for x in row) for row in entries)
     return TransferMatrix(n, r, entries)
 
 
@@ -235,9 +229,9 @@ class Coloring:
         """Recheck every propagation step and the closure condition."""
         if len(self.trace) != self.n + 1 or self.trace[-1] != self.trace[0]:
             return False
+        r = check_modulus(self.r)
         return all(
-            propagate_block(self.trace[i], self.r) == self.trace[i + 1]
-            for i in range(self.n)
+            _block_step(self.trace[i], r) == self.trace[i + 1] for i in range(self.n)
         )
 
     def to_json_dict(self) -> dict:

@@ -9,7 +9,6 @@ reference data) and reports one CheckResult per logical check.  The CLI
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,7 +89,6 @@ def _result(suite: str, name: str, failures: list[str], detail_ok: str) -> Check
 # -- suite 1: counting formula vs exhaustive oracle ----------------------------
 
 def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     failures = []
     pairs = 0
     for n in range(1, 13):
@@ -100,13 +98,12 @@ def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
             actual = len(thk.enumerate_colorings(n, r, config.brute_force_budget))
             if expected != actual:
                 failures.append(f"(n={n}, r={r}): formula {expected} != oracle {actual}")
-    elapsed = time.perf_counter() - started
     return [
         _result(
             "formula-oracle",
             "count-grid",
             failures,
-            f"{pairs} (n, r) pairs agree with exhaustive enumeration [{elapsed:.1f}s]",
+            f"{pairs} (n, r) pairs agree with exhaustive enumeration",
         )
     ]
 
@@ -114,21 +111,19 @@ def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
 # -- suite 2: psi reference table ----------------------------------------------
 
 def suite_psi_table(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     failures = []
     for r, published in sorted(PSI_REFERENCE.items()):
         expected = PSI_REFERENCE_ERRATA.get(r, published)
         actual = psi(r, config.psi_scan_cap).psi
         if actual != expected:
             failures.append(f"psi({r}) computed {actual}, reference {expected}")
-    elapsed = time.perf_counter() - started
     return [
         _result(
             "psi-table",
             "reference-2-to-185",
             failures,
             f"all {len(PSI_REFERENCE)} reference values reproduced, "
-            f"{len(PSI_REFERENCE_ERRATA)} of them as corrected by errata [{elapsed:.1f}s]",
+            f"{len(PSI_REFERENCE_ERRATA)} of them as corrected by errata",
         ),
         _check_psi_errata(),
     ]
@@ -171,7 +166,6 @@ def _check_psi_errata() -> CheckResult:
 # -- suite 3: prime statistics ---------------------------------------------------
 
 def suite_prime_stats(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     # one sweep serves both checks: matches[i] is psi(p) = p + 1 at the
     # (i+1)-th prime, so matches[0] is p = 2
     matches = prime_psi_matches(10000)
@@ -187,11 +181,10 @@ def suite_prime_stats(config: RunConfig) -> list[CheckResult]:
     )
     # the reference counts odd primes only; leave p = 2 out
     odd_matched = sum(matches[1:])
-    elapsed = time.perf_counter() - started
     exact_ok = odd_matched == PRIME_STATS_REFERENCE_10000
     detail = (
         f"odd primes: matched {odd_matched} vs reference {PRIME_STATS_REFERENCE_10000}; "
-        f"all primes: matched {sum(matches)}/10000 [{elapsed:.1f}s]"
+        f"all primes: matched {sum(matches)}/10000"
     )
     full_check = CheckResult("prime-stats", "first-10000-exact", exact_ok, detail)
     return [small_check, full_check]
@@ -211,7 +204,6 @@ _EXACT_CASES = (
 
 
 def suite_mincol_exact(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     failures = []
     for n, r, expected, witness_palette in _EXACT_CASES:
         verdict = mincol.mincol_exact(n, r, config.brute_force_budget)
@@ -235,14 +227,13 @@ def suite_mincol_exact(config: RunConfig) -> list[CheckResult]:
     best = thk.min_colors_standard(8, 7, config.brute_force_budget)
     if best is None or best[0] != 7:
         failures.append(f"standard-diagram minimum for (8, 7) is {best and best[0]}, expected 7")
-    elapsed = time.perf_counter() - started
     return [
         _result(
             "mincol-exact",
             "dual-certificates",
             failures,
             "6 exact verdicts certified; (8, 7) witness floor on standard "
-            f"diagrams confirmed at 7 [{elapsed:.1f}s]",
+            "diagrams confirmed at 7",
         )
     ]
 
@@ -261,7 +252,6 @@ def _primes_with_psi_parity(limit: int, want_odd: bool) -> list[tuple[int, int]]
 
 
 def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     failures = []
     cases = _primes_with_psi_parity(200, want_odd=True)
     for p, q in cases:
@@ -283,19 +273,17 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
                 failures.append(f"p={p}: palette {palette} exceeds branch bound {branch}")
         if p == 11 and col.colors_used != [0, 1, 2, 4, 7]:
             failures.append(f"p=11: palette {col.colors_used} != [0, 1, 2, 4, 7]")
-    elapsed = time.perf_counter() - started
     return [
         _result(
             "odd-constructions",
             "primes-to-200",
             failures,
-            f"{len(cases)} odd-psi primes certified [{elapsed:.1f}s]",
+            f"{len(cases)} odd-psi primes certified",
         )
     ]
 
 
 def suite_even_constructions(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     failures = []
     cases = _primes_with_psi_parity(200, want_odd=False)
     for p, q in cases:
@@ -312,13 +300,12 @@ def suite_even_constructions(config: RunConfig) -> list[CheckResult]:
             failures.append(f"p={p}: palette {palette} exceeds bound {bound}")
         if p == 7 and palette != 7:
             failures.append(f"p=7: palette {palette} != 7")
-    elapsed = time.perf_counter() - started
     return [
         _result(
             "even-constructions",
             "primes-to-200",
             failures,
-            f"{len(cases)} even-psi primes certified [{elapsed:.1f}s]",
+            f"{len(cases)} even-psi primes certified",
         )
     ]
 
@@ -326,7 +313,6 @@ def suite_even_constructions(config: RunConfig) -> list[CheckResult]:
 # -- suite 7: identity battery ---------------------------------------------------
 
 def suite_identities(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     results = []
 
     failures = [f"n={n}" for n in range(-20, 61) if seq.u(n) != -seq.u(-n - 2)]
@@ -453,10 +439,6 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
         _result("identities", "mod-stream-agreement", failures, "n in [0, 500], r in [2, 50]")
     )
 
-    elapsed = time.perf_counter() - started
-    results.append(
-        CheckResult("identities", "elapsed", True, f"battery completed in {elapsed:.1f}s")
-    )
     return results
 
 
@@ -530,7 +512,6 @@ def first_usage_primes(count: int) -> list[int]:
 
 
 def suite_color_usage(config: RunConfig) -> list[CheckResult]:
-    started = time.perf_counter()
     lo, hi = USAGE_WINDOW
     failures = []
     ratios = []
@@ -540,13 +521,12 @@ def suite_color_usage(config: RunConfig) -> list[CheckResult]:
         if not lo <= ratio <= hi:
             failures.append(f"p={p}: ratio {float(ratio):.4f} outside [{float(lo)}, {float(hi)}]")
     spread = f"observed range [{float(min(ratios)):.4f}, {float(max(ratios)):.4f}]"
-    elapsed = time.perf_counter() - started
     return [
         _result(
             "color-usage",
             "first-25-window",
             failures,
-            f"25 ratios inside [{float(lo)}, {float(hi)}]; {spread} [{elapsed:.1f}s]",
+            f"25 ratios inside [{float(lo)}, {float(hi)}]; {spread}",
         )
     ]
 
@@ -569,11 +549,3 @@ def run_suite(name: str, config: RunConfig | None = None) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](config or RunConfig())
-
-
-def run_all(config: RunConfig | None = None) -> list[CheckResult]:
-    config = config or RunConfig()
-    results = []
-    for name in SUITES:
-        results.extend(SUITES[name](config))
-    return results

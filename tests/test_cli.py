@@ -83,6 +83,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "--psi-cap", "100", "psi", "150")
         assert code == 2 and "budget" in err
 
+    def test_det_too_long_to_print_exits_2(self, capsys):
+        # 4,300 digits is CPython's default integer string limit
+        assert run(capsys, "det", "10287")[0] == 0
+        code, out, err = run(capsys, "-f", "json", "det", "10288")
+        assert code == 2 and out == "" and "4301 decimal digits" in err
+
     def test_construct_rejects_composite(self, capsys):
         assert run(capsys, "construct", "9")[0] == 1
 
@@ -101,6 +107,12 @@ class TestDeterminism:
         _, first, _ = run(capsys, "-f", "csv", "psi-table", "--max", "60")
         _, second, _ = run(capsys, "-f", "csv", "psi-table", "--max", "60")
         assert first == second
+
+    def test_verify_stdout_byte_identical(self, capsys):
+        code, first, err = run(capsys, "verify", "mincol-exact")
+        _, second, _ = run(capsys, "verify", "mincol-exact")
+        assert code == 0 and first == second and "s]" not in first
+        assert err.startswith("turkshead: verify mincol-exact took ")
 
 
 class TestEnvironmentOverrides:

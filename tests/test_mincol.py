@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turkshead
 from turkshead import mincol, seq, thk
 
 
@@ -36,6 +40,12 @@ class TestDeterminant:
             um = seq.u(n - 1)
             expected = um * um if n % 2 else 5 * um * um
             assert mincol.determinant(n).value == expected
+
+    def test_digit_count_from_n(self):
+        for n in [*range(1, 3001), 10287, 10288]:
+            value = mincol.determinant(n).value
+            digits = mincol.determinant_digits(n)
+            assert 10 ** (digits - 1) <= value < 10**digits
 
 
 class TestHasNontrivial:
@@ -193,20 +203,16 @@ class TestVerdicts:
         assert verdict.witness is None
 
     def test_bounds_7_29(self):
-        verdict = mincol.mincol_bounds(7, 29)
+        verdict = mincol.mincol_exact(7, 29)
         assert verdict.kind == "bounds"
         assert (verdict.lower, verdict.upper) == (5, 7)
         assert verdict.witness.input_triple == (1, 5, 0)
         assert any("construction" in step for step in verdict.provenance)
 
     def test_bounds_of_10_11_close_to_exact(self):
-        verdict = mincol.mincol_bounds(10, 11)
+        verdict = mincol.mincol_exact(10, 11)
         assert verdict.kind == "exact" and verdict.lower == 5
         assert thk.distinct_colors(verdict.witness) == 5
-
-    def test_bounds_requires_nontrivial(self):
-        with pytest.raises(ValueError):
-            mincol.mincol_bounds(5, 7)
 
     def test_verdict_json_schema(self):
         verdict = mincol.mincol_exact(5, 11)
@@ -220,3 +226,29 @@ class TestVerdicts:
             witness = verdict.witness
             assert witness is not None and witness.validate() and not witness.is_trivial
             assert thk.is_coloring(witness.n, witness.r, witness.input_triple)
+
+    def test_long_braid_verdict_in_bounded_memory(self):
+        # no exact term is cached, so the stacked witness dominates memory;
+        # VmHWM is this process's own peak, while ru_maxrss can carry over
+        # the peak of the process that started it
+        code = (
+            "import resource\n"
+            "from turkshead.mincol import mincol_exact\n"
+            "verdict = mincol_exact(90000, 14)\n"
+            "assert (verdict.kind, verdict.lower) == ('exact', 2)\n"
+            "try:\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    print(int(status.split('VmHWM:')[1].split()[0]) // 1024)\n"
+            "except OSError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+        )
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert int(done.stdout) < 100

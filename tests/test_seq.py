@@ -18,9 +18,12 @@ class TestExactValues:
         assert [seq.v(n) for n in range(1, 6)] == [2, 1, 3, 2, 7]
 
     def test_recurrence_holds(self):
-        for n in range(1, 120):
-            assert seq.u(n) == 3 * seq.u(n - 2) - seq.u(n - 4)
-            assert seq.v(n) == 3 * seq.v(n - 2) - seq.v(n - 4)
+        # the doubling core against the four-term recurrence run from the seeds
+        for seeds, term in (([-1, -1, 0, 1], seq.u), ([7, 2, 3, 1], seq.v)):
+            values = list(seeds)
+            while len(values) < 3004:
+                values.append(3 * values[-2] - values[-4])
+            assert [term(n) for n in range(-3, 3001)] == values
 
     @given(st.integers(-300, 300))
     def test_reflection(self, n):
