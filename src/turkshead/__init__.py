@@ -23,13 +23,9 @@ from .psi import (
     PrimeStats,
     PsiValue,
     color_usage_ratio,
-    min_common_prime_psi,
-    p_divides_u,
     prime_psi_matches,
     prime_psi_stats,
-    psi_divides,
     psi_of_prime,
-    psi_prime_bound,
 )
 from .seq import binet_u, u, u_mod, u_mod_stream, v, v_mod
 from .thk import (
@@ -44,7 +40,7 @@ from .thk import (
     stack_coloring,
     transfer_matrix,
 )
-from .zmod import gcd, legendre5, mod_inverse, primes_up_to, solution_count_linear
+from .zmod import legendre5, mod_inverse, primes_up_to
 
 __version__ = "1.0.0"
 
@@ -67,26 +63,20 @@ __all__ = [
     "distinct_colors",
     "enumerate_colorings",
     "estimate",
-    "gcd",
     "has_nontrivial",
     "is_coloring",
     "legendre5",
     "lift_coloring",
     "min_colors_standard",
-    "min_common_prime_psi",
     "mincol_exact",
     "mod_inverse",
-    "p_divides_u",
     "prime_psi_matches",
     "prime_psi_stats",
     "primes_up_to",
     "propagate_block",
     "psi",  # the submodule; its psi() function is turkshead.psi.psi
-    "psi_divides",
     "psi_of_prime",
-    "psi_prime_bound",
     "saito_classify",
-    "solution_count_linear",
     "stack_coloring",
     "transfer_matrix",
     "u",

@@ -18,7 +18,7 @@ import time
 
 from . import mincol, thk, verify, zmod
 from .config import BudgetExceededError, RunConfig, config_from_env
-from .psi import color_usage_ratio, prime_psi_stats, psi, psi_of_prime
+from .psi import color_usage_ratio, prime_psi_stats, psi
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,9 +91,23 @@ def _no_csv(fmt: str, command: str) -> None:
         raise ValueError(f"the {command} command has no tabular form; use plain or json")
 
 
+def _check_printable(digits: int, what: str) -> None:
+    """Refuse, before formatting, an integer too long for the interpreter to print.
+
+    The limit is sys.get_int_max_str_digits(), where 0 means no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise BudgetExceededError(
+            f"{what} has {digits} decimal digits, above the "
+            f"interpreter's integer string limit of {limit}"
+        )
+
+
 def cmd_count(args, config: RunConfig) -> int:
     value = mincol.count_colorings(args.n, args.r)
     _no_csv(config.output_format, "count")
+    _check_printable(zmod.decimal_digits(value), f"the coloring count of THK(3, {args.n})")
     if config.output_format == "json":
         _emit_json({"n": args.n, "r": args.r, "count": value})
     else:
@@ -105,13 +119,7 @@ def cmd_det(args, config: RunConfig) -> int:
     _no_csv(config.output_format, "det")
     # decided from n: computing and printing a determinant too long to
     # convert to decimal would only fail after the work
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    digits = mincol.determinant_digits(args.n)
-    if limit and digits > limit:
-        raise BudgetExceededError(
-            f"det THK(3, {args.n}) has {digits} decimal digits, above the "
-            f"interpreter's integer string limit of {limit}"
-        )
+    _check_printable(mincol.determinant_digits(args.n), f"det THK(3, {args.n})")
     value = mincol.determinant(args.n).value
     if config.output_format == "json":
         _emit_json({"n": args.n, "determinant": value})
@@ -169,10 +177,8 @@ def cmd_mincol(args, config: RunConfig) -> int:
 
 
 def cmd_construct(args, config: RunConfig) -> int:
-    q = psi_of_prime(args.p).psi
-    coloring = (
-        mincol.construct_odd_psi(args.p) if q % 2 else mincol.construct_even_psi(args.p)
-    )
+    coloring = mincol.construct(args.p)
+    q = coloring.n
     _no_csv(config.output_format, "construct")
     if config.output_format == "json":
         _emit_json(coloring.to_json_dict())

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import seq, thk, zmod
-from .psi import min_common_prime_psi, psi_of_prime
+from .psi import psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import (
     Coloring,
@@ -77,17 +77,37 @@ def has_nontrivial(n: int, r: int) -> bool:
 @dataclass(frozen=True)
 class SaitoClass:
     r: int
-    det: int
-    least_common_prime: int  # 1 when r and the determinant are coprime
+    least_common_prime: int
+
+
+def _common_primes(n: int, r: int) -> list[int]:
+    """Primes dividing both r and det THK(3, n), ascending.
+
+    The determinant is u_{n-1}^2, times 5 for even n, so these are the
+    primes of gcd(u_{n-1} mod r, r), with 5 added when n is even and 5 | r
+    (exactly when 5 divides g5 = gcd(5 u_{n-1} mod r, r)).  Only that gcd is
+    factored, never r itself.
+    """
+    gu, g5 = thk._reduced_system_params(n, r)
+    primes = set(zmod.least_prime_factors(gu))
+    if g5 % 5 == 0:
+        primes.add(5)
+    return sorted(primes)
+
+
+def _constraint(lcp: int) -> tuple[str, int]:
+    """The mincol constraint a least common prime forces."""
+    if lcp in (2, 3):
+        return "exact", lcp
+    if lcp in (5, 7):
+        return "exact", 4
+    return "lower", 5
 
 
 def least_common_prime(n: int, r: int) -> int:
     """Least prime dividing both r and det THK(3, n); 1 when coprime."""
-    for p in zmod.least_prime_factors(r):
-        # p divides the determinant exactly when a nontrivial p-coloring exists
-        if has_nontrivial(n, p):
-            return p
-    return 1
+    primes = _common_primes(n, r)
+    return primes[0] if primes else 1
 
 
 def saito_classify(n: int, r: int) -> tuple[SaitoClass, tuple[str, int]]:
@@ -101,21 +121,12 @@ def saito_classify(n: int, r: int) -> tuple[SaitoClass, tuple[str, int]]:
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    lcp = least_common_prime(n, r)
-    if lcp == 1:
-        if has_nontrivial(n, r):
-            raise AssertionError(
-                f"coprime classification contradicts nontrivial colorings at ({n}, {r})"
-            )
+    primes = _common_primes(n, r)
+    if not primes:
         raise ValueError(
             f"THK(3, {n}) mod {r} has only trivial colorings; nothing to classify"
         )
-    cls = SaitoClass(r, determinant(n).value, lcp)
-    if lcp in (2, 3):
-        return cls, ("exact", lcp)
-    if lcp in (5, 7):
-        return cls, ("exact", 4)
-    return cls, ("lower", 5)
+    return SaitoClass(r, primes[0]), _constraint(primes[0])
 
 
 # -- explicit constructions ----------------------------------------------------
@@ -201,6 +212,16 @@ def construct_even_psi(p: int) -> Coloring:
     return col
 
 
+def construct(p: int) -> Coloring:
+    """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5.
+
+    Dispatches on the parity of psi(p) to construct_odd_psi or
+    construct_even_psi.
+    """
+    q = psi_of_prime(p).psi
+    return construct_odd_psi(p) if q % 2 else construct_even_psi(p)
+
+
 def estimate(p: int) -> int:
     """Upper bound for mincol_p THK(3, psi(p)), for a prime p > 11.
 
@@ -210,13 +231,16 @@ def estimate(p: int) -> int:
     """
     if not zmod.is_prime(p) or p <= 11:
         raise ValueError(f"need a prime greater than 11, got {p}")
-    q = psi_of_prime(p).psi
+    return _checked_estimate(p, construct(p))
+
+
+def _checked_estimate(p: int, col: Coloring) -> int:
+    """estimate(p), asserted against the palette of construct(p) = col."""
+    q = col.n
     if q % 2 == 1:
         bound = (p + 1) // 2 if zmod.legendre5(p) == -1 else (p - 1) // 2
-        col = construct_odd_psi(p)
     else:
         bound = q - 1 if q % 4 == 0 else q - 5
-        col = construct_even_psi(p)
     if distinct_colors(col) > bound:
         raise AssertionError(f"construction beat its own bound at p = {p}")
     return bound
@@ -258,45 +282,41 @@ class MincolVerdict:
         }
 
 
-# Frozen small witnesses for the exact rules, transported by stacking and
-# lifting.  Each is the least input realizing the standard diagram's minimum
-# palette, except rule 4's, which is the odd-psi construction at p = 11.
-_WITNESS_BASES: dict[str, tuple[int, int, tuple[int, int, int]]] = {
-    "2|r,3|n": (3, 2, (0, 0, 1)),    # 2 colors
-    "3|r,4|n": (4, 3, (0, 0, 1)),    # 3 colors
-    "5|r,2|n": (2, 5, (0, 1, 4)),    # 4 colors
-    "7|r,8|n": (8, 7, (0, 0, 1)),    # 7 colors; 4 is unreachable on standard diagrams
-    "11|r,5|n": (5, 11, (1, 7, 0)),  # 5 colors
-}
+# The exact divisibility rules, in the order they are tried: s | r and
+# n0 | n pin mincol at `value`.  Each carries a frozen witness on THK(3, n0)
+# mod s, transported by stacking and lifting: the least input realizing the
+# standard diagram's minimum palette, except the 11-rule's, which is the
+# odd-psi construction at p = 11.
+_EXACT_RULES: tuple[tuple[int, int, int, tuple[int, int, int]], ...] = (
+    (2, 3, 2, (0, 0, 1)),    # 2 colors
+    (3, 4, 3, (0, 0, 1)),    # 3 colors
+    (5, 2, 4, (0, 1, 4)),    # 4 colors
+    (7, 8, 4, (0, 0, 1)),    # 7 colors; 4 is unreachable on standard diagrams
+    (11, 5, 5, (1, 7, 0)),   # 5 colors
+)
 
 
-def _exact_rule(n: int, r: int) -> tuple[str, int] | None:
-    """First divisibility rule that applies, with its exact mincol value."""
-    if r % 2 == 0 and n % 3 == 0:
-        return "2|r,3|n", 2
-    if r % 3 == 0 and n % 4 == 0:
-        return "3|r,4|n", 3
-    if r % 5 == 0 and n % 2 == 0:
-        return "5|r,2|n", 4
-    if r % 7 == 0 and n % 8 == 0:
-        return "7|r,8|n", 4
-    if r % 11 == 0 and n % 5 == 0:
-        return "11|r,5|n", 5
-    return None
+def _construction_prime(primes: list[int]) -> int | None:
+    """The prime above 5 of least psi among `primes`, ties to the smaller one.
+
+    Its construction is the shortest braid to stack; None when every prime
+    is 2, 3 or 5.
+    """
+    return min(
+        (p for p in primes if p > 5), key=lambda p: (psi_of_prime(p).psi, p), default=None
+    )
 
 
-def _transport(base_tag: str, n: int, r: int) -> tuple[Coloring, list[str]]:
-    n0, s, probe = _WITNESS_BASES[base_tag]
-    if n % n0 != 0 or r % s != 0:
-        raise AssertionError(f"rule {base_tag} fired for incompatible ({n}, {r})")
-    col = Coloring.from_input(n0, s, probe)
-    steps = [f"witness-base({n0},{s})"]
+def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
+    """Stack col up to n levels and lift it to modulus r, naming each step."""
+    n0, s = col.n, col.r
+    steps = []
     if n > n0:
         col = stack_coloring(col, n // n0)
-        steps.append(f"witness-stack(k={n // n0})")
+        steps.append(f"stack(k={n // n0})")
     if r > s:
         col = lift_coloring(col, r)
-        steps.append(f"witness-lift({s}->{r})")
+        steps.append(f"lift({s}->{r})")
     return col, steps
 
 
@@ -307,17 +327,19 @@ def mincol_exact(
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    if not has_nontrivial(n, r):
+    primes = _common_primes(n, r)
+    if not primes:
         return MincolVerdict(
             n, r, "only-trivial", None, None, None, ("no-nontrivial-colorings",)
         )
-    cls, constraint = saito_classify(n, r)
-    rule = _exact_rule(n, r)
-    provenance = [f"classification-lcpf-{cls.least_common_prime}"]
-    if rule is not None:
-        tag, value = rule
-        witness, steps = _transport(tag, n, r)
-        if tag == "11|r,5|n":
+    constraint = _constraint(primes[0])
+    provenance = [f"classification-lcpf-{primes[0]}"]
+    for s, n0, value, probe in _EXACT_RULES:
+        if r % s or n % n0:
+            continue
+        tag = f"{s}|r,{n0}|n"
+        witness, steps = _transport(Coloring.from_input(n0, s, probe), n, r)
+        if value == 5:
             # the classification alone gives >= 5 here; the witness closes it
             if constraint != ("lower", 5) or distinct_colors(witness) != 5:
                 raise AssertionError(f"rule {tag} lost its dual certificate at ({n}, {r})")
@@ -325,6 +347,7 @@ def mincol_exact(
             raise AssertionError(
                 f"rule {tag} disagrees with the classification at ({n}, {r})"
             )
+        steps = [f"witness-base({n0},{s})", *(f"witness-{step}" for step in steps)]
         provenance = [f"exact-rule({tag})", *provenance, *steps]
         return MincolVerdict(n, r, "exact", value, value, witness, tuple(provenance))
 
@@ -334,20 +357,15 @@ def mincol_exact(
         )
     provenance.append("lower-bound-5")
     routes: list[tuple[int, int, Coloring, str]] = []
-    p_star = min_common_prime_psi(n, r)
+    p_star = _construction_prime(primes)
     if p_star is not None:
-        q = psi_of_prime(p_star).psi
+        col = construct(p_star)
+        q = col.n
         if n % q != 0:
             raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
-        col = construct_odd_psi(p_star) if q % 2 else construct_even_psi(p_star)
-        estimate_bound = estimate(p_star)
-        label = f"construction(p={p_star},estimate-bound={estimate_bound})"
-        if n > q:
-            col = stack_coloring(col, n // q)
-            label += f"+stack(k={n // q})"
-        if r > p_star:
-            col = lift_coloring(col, r)
-            label += f"+lift({p_star}->{r})"
+        label = f"construction(p={p_star},estimate-bound={_checked_estimate(p_star, col)})"
+        col, steps = _transport(col, n, r)
+        label += "".join(f"+{step}" for step in steps)
         routes.append((distinct_colors(col), 0, col, label))
     if r**3 <= budget and count_colorings(n, r) * n <= budget:
         found = min_colors_standard(n, r, budget)

@@ -16,11 +16,6 @@ from fractions import Fraction
 from . import seq, thk, zmod
 from .config import DEFAULT_PSI_SCAN_CAP, BudgetExceededError
 
-#: Outcomes of the prime divisibility dichotomy for psi(p).
-DIVIDES_P_PLUS_1 = "divides_p_plus_1"
-DIVIDES_HALF_P_MINUS_1 = "divides_half_p_minus_1"
-
-
 @dataclass(frozen=True)
 class PsiValue:
     r: int
@@ -90,60 +85,6 @@ def psi_of_prime(p: int) -> PsiValue:
         raise ValueError(f"psi_of_prime needs a prime, got {p}")
     q, tests = _rank_of_apparition(p)
     return PsiValue(p, q, tests)
-
-
-def psi_divides(r: int, m: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> bool:
-    """Whether psi(r) divides m; equivalent to r | u_{m-1}."""
-    if m < 1:
-        raise ValueError(f"index must be positive, got {m}")
-    return m % psi(r, cap).psi == 0
-
-
-def psi_prime_bound(p: int) -> str:
-    """Which divisibility branch psi(p) falls in, for an odd prime p != 5.
-
-    Returns DIVIDES_P_PLUS_1 when 5^((p-1)/2) == -1 mod p, else
-    DIVIDES_HALF_P_MINUS_1; the claimed divisibility is asserted against
-    the actually computed psi(p).
-    """
-    branch = DIVIDES_P_PLUS_1 if zmod.legendre5(p) == -1 else DIVIDES_HALF_P_MINUS_1
-    value = psi_of_prime(p).psi
-    target = p + 1 if branch == DIVIDES_P_PLUS_1 else (p - 1) // 2
-    if target % value != 0:
-        raise AssertionError(
-            f"psi({p}) = {value} does not divide {target} as the branch demands"
-        )
-    return branch
-
-
-def p_divides_u(p: int) -> tuple[bool, bool]:
-    """Direct tests (p | u_p, p | u_{(p-3)/2}) for an odd prime p != 5.
-
-    Exactly one of the two holds, matching the sign of 5^((p-1)/2) mod p;
-    that correspondence is asserted here.
-    """
-    leg = zmod.legendre5(p)
-    at_p = seq.u_mod(p, p) == 0
-    at_half = seq.u_mod((p - 3) // 2, p) == 0
-    if at_p != (leg == -1) or at_half != (leg == 1):
-        raise AssertionError(f"divisibility pattern at p = {p} defies the dichotomy")
-    return at_p, at_half
-
-
-def min_common_prime_psi(n: int, r: int) -> int | None:
-    """The common prime factor (> 5) of u_{n-1} and r minimizing psi.
-
-    Requires gcd(u_{n-1}, r) > 1.  Ties in psi break toward the smaller
-    prime.  Returns None when no common prime factor exceeds 5.
-    """
-    zmod.check_modulus(r)
-    g = math.gcd(seq.u_mod(n - 1, r), r)
-    if g <= 1:
-        raise ValueError(f"u_{{{n-1}}} and {r} share no common factor")
-    candidates = [p for p in zmod.least_prime_factors(g) if p > 5]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda p: (psi_of_prime(p).psi, p))
 
 
 # -- prime statistics ----------------------------------------------------------

@@ -16,11 +16,12 @@ the middle strand only repeats first-coordinate colors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import seq
 from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError
-from .zmod import check_modulus, gcd
+from .zmod import check_modulus
 
 Triple = tuple[int, int, int]
 Matrix = tuple[tuple[int, int, int], ...]
@@ -307,10 +308,10 @@ def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
     gcds of the scaled coefficients with r.
     """
     um = seq.u_mod(n - 1, r)
-    gu = gcd(um, r)
+    gu = math.gcd(um, r)
     if n % 2 == 1:
         return gu, gu
-    return gu, gcd(5 * um % r, r)
+    return gu, math.gcd(5 * um % r, r)
 
 
 def coloring_inputs_reduced(n: int, r: int, limit: int | None = None) -> list[Triple]:

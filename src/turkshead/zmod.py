@@ -8,6 +8,13 @@ from __future__ import annotations
 
 import math
 
+from .config import BudgetExceededError
+
+#: Largest limit primes_up_to sieves to.  The sieve takes a byte per number
+#: plus a Python int per prime found, about 0.3 GB at the ceiling; larger
+#: limits are refused before anything is allocated.
+SIEVE_CEILING = 10**8
+
 
 def check_modulus(r: int) -> int:
     """Validate a modulus (an integer >= 2) and return it."""
@@ -18,23 +25,11 @@ def check_modulus(r: int) -> int:
     return r
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def solution_count_linear(a: int, r: int) -> int:
-    """Number of x in Z_r with a*x == 0 (mod r).
-
-    Equals gcd(a mod r, r): the scaled congruence collapses to one with a
-    unit coefficient on a subgroup of that index.
-    """
-    check_modulus(r)
-    return math.gcd(a % r, r)
+def decimal_digits(value: int) -> int:
+    """Decimal digits of a positive integer, without converting it to a string."""
+    # 2^(b-1) <= value < 2^b has floor((b-1) log10 2) + 1 digits, or one more
+    digits = math.floor((value.bit_length() - 1) * math.log10(2)) + 1
+    return digits + 1 if value >= 10**digits else digits
 
 
 def mod_inverse(a: int, r: int) -> int:
@@ -76,9 +71,17 @@ def legendre5(p: int) -> int:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending (empty for limit < 2)."""
+    """All primes <= limit, ascending (empty for limit < 2).
+
+    Raises BudgetExceededError above SIEVE_CEILING.
+    """
     if limit < 2:
         return []
+    if limit > SIEVE_CEILING:
+        raise BudgetExceededError(
+            f"sieving primes up to a {decimal_digits(limit)}-digit limit exceeds "
+            f"the sieve ceiling {SIEVE_CEILING}"
+        )
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import turkshead
+from turkshead import seq
 from turkshead.cli import main
 
 
@@ -89,6 +91,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "-f", "json", "det", "10288")
         assert code == 2 and out == "" and "4301 decimal digits" in err
 
+    def test_count_too_long_to_print_exits_2(self, capsys):
+        # r = u_7199 divides u_{n-1} at n = 7200, so the count is r^3, about
+        # 4,514 digits against CPython's default limit of 4,300
+        r = str(seq.u(7199))
+        for fmt in ("plain", "json"):
+            code, out, err = run(capsys, "-f", fmt, "count", "7200", r)
+            assert code == 2 and out == "" and "4514 decimal digits" in err
+
+    def test_sieves_above_the_ceiling_exit_2(self, capsys):
+        # gcd(u_7199, r) = r has 1,505 digits, far beyond any sieve; the
+        # first 10^7 primes run past 10^8
+        for argv in (("mincol", "7200", str(seq.u(7199))), ("stats", str(10**7))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "sieve ceiling" in err
+
     def test_construct_rejects_composite(self, capsys):
         assert run(capsys, "construct", "9")[0] == 1
 
@@ -113,6 +130,14 @@ class TestDeterminism:
         _, second, _ = run(capsys, "verify", "mincol-exact")
         assert code == 0 and first == second and "s]" not in first
         assert err.startswith("turkshead: verify mincol-exact took ")
+
+
+class TestPublicNames:
+    def test_all_resolves_and_star_import_succeeds(self):
+        assert all(hasattr(turkshead, name) for name in turkshead.__all__)
+        namespace: dict = {}
+        exec("from turkshead import *", namespace)
+        assert set(turkshead.__all__) <= set(namespace)
 
 
 class TestEnvironmentOverrides:

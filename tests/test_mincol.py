@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import turkshead
-from turkshead import mincol, seq, thk
+from turkshead import mincol, seq, thk, zmod
 
 
 class TestCountColorings:
@@ -63,12 +63,12 @@ class TestHasNontrivial:
 class TestSaitoClassification:
     def test_exact_two(self):
         cls, constraint = mincol.saito_classify(3, 2)
-        assert cls.det == 16 and cls.least_common_prime == 2
+        assert cls.least_common_prime == 2
         assert constraint == ("exact", 2)
 
     def test_exact_four_via_five(self):
         cls, constraint = mincol.saito_classify(2, 5)
-        assert cls.det == 5 and cls.least_common_prime == 5
+        assert cls.least_common_prime == 5
         assert constraint == ("exact", 4)
 
     def test_exact_four_via_seven(self):
@@ -77,7 +77,7 @@ class TestSaitoClassification:
 
     def test_lower_bound_five(self):
         cls, constraint = mincol.saito_classify(5, 11)
-        assert cls.det == 121 and cls.least_common_prime == 11
+        assert cls.least_common_prime == 11
         assert constraint == ("lower", 5)
 
     def test_coprime_rejected(self):
@@ -89,6 +89,32 @@ class TestSaitoClassification:
         assert mincol.least_common_prime(4, 3) == 3
         assert mincol.least_common_prime(85, 143) == 11
         assert mincol.least_common_prime(5, 7) == 1
+
+
+class TestCommonPrimes:
+    def test_equal_to_the_primes_of_r_dividing_the_determinant(self):
+        primes_of = {r: [p for p in zmod.primes_up_to(r) if r % p == 0] for r in range(2, 301)}
+        for n in range(1, 41):
+            det = mincol.determinant(n).value
+            for r, primes in primes_of.items():
+                expected = [p for p in primes if det % p == 0]
+                assert mincol._common_primes(n, r) == expected, (n, r)
+
+    def test_large_modulus_factors_only_the_gcd(self, monkeypatch):
+        # r has a prime factor near 10^20, so factoring r itself would sieve
+        # to ~10^10; gcd(u_{n-1}, r) is 13 and 2 here
+        sieve = zmod.primes_up_to
+
+        def small_sieve(limit):
+            if limit > 10**4:
+                raise AssertionError(f"sieved to {limit}")
+            return sieve(limit)
+
+        monkeypatch.setattr(zmod, "primes_up_to", small_sieve)
+        verdict = mincol.mincol_exact(14, 13 * (10**20 + 39))
+        assert (verdict.kind, verdict.lower, verdict.upper) == ("bounds", 5, 9)
+        verdict = mincol.mincol_exact(3, 2 * (10**20 + 39))
+        assert (verdict.kind, verdict.lower) == ("exact", 2)
 
 
 class TestOddConstruction:
@@ -151,17 +177,10 @@ class TestEstimate:
             mincol.estimate(12)
 
     def test_dominates_construction(self):
-        from turkshead import psi as psi_map
-        from turkshead import zmod
-
         for p in zmod.primes_up_to(200):
             if p <= 11:
                 continue
-            q = psi_map.psi_of_prime(p).psi
-            col = (
-                mincol.construct_odd_psi(p) if q % 2 else mincol.construct_even_psi(p)
-            )
-            assert mincol.estimate(p) >= thk.distinct_colors(col)
+            assert mincol.estimate(p) >= thk.distinct_colors(mincol.construct(p))
 
 
 class TestVerdicts:
@@ -202,12 +221,18 @@ class TestVerdicts:
         assert verdict.kind == "only-trivial"
         assert verdict.witness is None
 
-    def test_bounds_7_29(self):
+    def test_bounds_7_29(self, monkeypatch):
+        calls = []
+        construct_odd = mincol.construct_odd_psi
+        monkeypatch.setattr(
+            mincol, "construct_odd_psi", lambda p: calls.append(p) or construct_odd(p)
+        )
         verdict = mincol.mincol_exact(7, 29)
         assert verdict.kind == "bounds"
         assert (verdict.lower, verdict.upper) == (5, 7)
         assert verdict.witness.input_triple == (1, 5, 0)
         assert any("construction" in step for step in verdict.provenance)
+        assert calls == [29]  # the witness is built once
 
     def test_bounds_of_10_11_close_to_exact(self):
         verdict = mincol.mincol_exact(10, 11)

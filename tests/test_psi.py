@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turkshead import psi, seq, zmod
+from turkshead import mincol, psi, seq, zmod
 from turkshead.config import BudgetExceededError
 
 
@@ -47,7 +47,16 @@ class TestPsiOfPrime:
 
     def test_agrees_with_scan_for_all_primes_to_3000(self):
         for p in zmod.primes_up_to(3000):
-            assert psi.psi_of_prime(p).psi == psi.psi(p).psi
+            q = psi.psi_of_prime(p).psi
+            assert q == psi.psi(p).psi
+            if p in (2, 5):
+                continue
+            # the dichotomy: psi(p) | p + 1 when 5^((p-1)/2) == -1 mod p, else
+            # psi(p) | (p - 1)/2; exactly one of p | u_p and p | u_{(p-3)/2}
+            minus = zmod.legendre5(p) == -1
+            assert (p + 1 if minus else (p - 1) // 2) % q == 0
+            at_p, at_half = seq.u_mod(p, p) == 0, seq.u_mod((p - 3) // 2, p) == 0
+            assert (at_p, at_half) == (minus, not minus)
 
     def test_no_scan_cap_on_the_prime_route(self):
         # 10,000,103 is prime and its bound p + 1 exceeds the default scan cap
@@ -68,10 +77,11 @@ class TestPsiOfPrime:
 
 
 class TestPsiDivides:
+    # the indices m with r | u_{m-1} are exactly the multiples of psi(r)
     def test_examples(self):
-        assert psi.psi_divides(2, 6) and seq.u(5) % 2 == 0
-        assert not psi.psi_divides(11, 7) and seq.u(6) % 11 != 0
-        assert psi.psi_divides(5, 10)
+        assert 6 % psi.psi(2).psi == 0 and seq.u(5) % 2 == 0
+        assert 7 % psi.psi(11).psi != 0 and seq.u(6) % 11 != 0
+        assert 10 % psi.psi(5).psi == 0
 
     def test_equivalence_exact_small_indices(self):
         for r in range(2, 101):
@@ -82,27 +92,15 @@ class TestPsiDivides:
     @given(st.integers(2, 100), st.integers(1, 300))
     @settings(max_examples=300, deadline=None)
     def test_equivalence_with_direct_divisibility(self, r, m):
-        assert psi.psi_divides(r, m) == (seq.u_mod(m - 1, r) == 0)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            psi.psi_divides(7, 0)
+        assert (m % psi.psi(r).psi == 0) == (seq.u_mod(m - 1, r) == 0)
 
 
 class TestPrimeBranch:
     def test_branch_examples(self):
-        assert psi.psi_prime_bound(11) == psi.DIVIDES_HALF_P_MINUS_1
-        assert psi.psi_prime_bound(37) == psi.DIVIDES_P_PLUS_1
-        assert psi.psi_prime_bound(29) == psi.DIVIDES_HALF_P_MINUS_1
-
-    def test_branch_divisibility_all_primes_to_500(self):
-        for p in zmod.primes_up_to(500):
-            if p in (2, 5):
-                continue
-            branch = psi.psi_prime_bound(p)
-            value = psi.psi_of_prime(p).psi
-            target = p + 1 if branch == psi.DIVIDES_P_PLUS_1 else (p - 1) // 2
-            assert target % value == 0
+        # psi(11) = 5 | (11 - 1)/2, psi(37) = 38 | 37 + 1, psi(29) = 7 | 14
+        assert zmod.legendre5(11) == 1 and psi.psi_of_prime(11).psi == 5
+        assert zmod.legendre5(37) == -1 and psi.psi_of_prime(37).psi == 38
+        assert zmod.legendre5(29) == 1 and psi.psi_of_prime(29).psi == 7
 
     def test_psi_bounded_by_p_plus_1_to_1e4(self):
         for p in zmod.primes_up_to(10**4):
@@ -111,37 +109,35 @@ class TestPrimeBranch:
             assert psi.psi_of_prime(p).psi <= p + 1
 
     def test_divisibility_pair_examples(self):
-        assert psi.p_divides_u(11) == (False, True)   # 11 | u_4
-        assert psi.p_divides_u(37) == (True, False)   # 37 | u_37
-        assert psi.p_divides_u(3) == (True, False)    # 3 | u_3, not u_0
-
-    def test_pair_consistent_with_legendre(self):
-        for p in zmod.primes_up_to(300):
-            if p in (2, 5):
-                continue
-            at_p, at_half = psi.p_divides_u(p)
-            assert at_p != at_half
-            assert at_p == (zmod.legendre5(p) == -1)
+        assert seq.u_mod(11, 11) != 0 and seq.u(4) % 11 == 0   # 11 | u_4
+        assert seq.u(37) % 37 == 0 and seq.u(17) % 37 != 0     # 37 | u_37
+        assert seq.u(3) % 3 == 0 and seq.u(0) % 3 != 0         # 3 | u_3, not u_0
 
 
 class TestMinCommonPrime:
+    # mincol's construction prime: the common prime of u_{n-1} and r above 5
+    # of least psi, ties to the smaller prime
+    @staticmethod
+    def select(n, r):
+        return mincol._construction_prime(mincol._common_primes(n, r))
+
     def test_examples(self):
-        assert psi.min_common_prime_psi(5, 11) == 11
-        assert psi.min_common_prime_psi(5, 22) == 11
-        assert psi.min_common_prime_psi(7, 29) == 29
+        assert self.select(5, 11) == 11
+        assert self.select(5, 22) == 11
+        assert self.select(7, 29) == 29
 
     def test_requires_common_factor(self):
-        with pytest.raises(ValueError):
-            psi.min_common_prime_psi(5, 7)
+        assert mincol._common_primes(5, 7) == []
+        assert self.select(5, 7) is None
 
     def test_none_when_only_small_primes_shared(self):
         # u_2 = 4 shares only the prime 2 with r = 4
-        assert psi.min_common_prime_psi(3, 4) is None
+        assert self.select(3, 4) is None
 
     def test_minimizes_psi_not_size(self):
         # 13 and 29 both divide u_13 (psi 14 and 7 divide 14); the larger
         # prime wins because psi(29) = 7 beats psi(13) = 14
-        assert psi.min_common_prime_psi(14, 13 * 29) == 29
+        assert self.select(14, 13 * 29) == 29
 
 
 class TestPrimeStats:

@@ -1,41 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from turkshead import zmod
-
-
-class TestGcd:
-    def test_with_self(self):
-        assert zmod.gcd(11, 11) == 11
-
-    def test_simple(self):
-        assert zmod.gcd(4, 2) == 2
-
-    def test_u4_and_5_coprime(self):
-        assert zmod.gcd(11, 5) == 1
-
-    def test_zero_zero_rejected(self):
-        with pytest.raises(ValueError):
-            zmod.gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            zmod.gcd(-4, 2)
-
-
-class TestSolutionCountLinear:
-    @pytest.mark.parametrize("a, r, expected", [(1, 7, 1), (0, 7, 7), (4, 6, 2)])
-    def test_examples(self, a, r, expected):
-        assert zmod.solution_count_linear(a, r) == expected
-
-    @given(st.integers(-200, 200), st.integers(2, 100))
-    def test_matches_exhaustive_count(self, a, r):
-        brute = sum(1 for x in range(r) if a * x % r == 0)
-        assert zmod.solution_count_linear(a, r) == brute
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            zmod.solution_count_linear(3, 1)
+from turkshead.config import BudgetExceededError
 
 
 class TestModInverse:
@@ -49,7 +18,7 @@ class TestModInverse:
 
     @given(st.integers(1, 500), st.integers(2, 100))
     def test_inverse_property(self, a, r):
-        if zmod.gcd(a % r if a % r else r, r) != 1:
+        if math.gcd(a % r if a % r else r, r) != 1:
             return
         assert zmod.mod_inverse(a, r) * a % r == 1
 
@@ -78,6 +47,17 @@ class TestPrimesAndFactors:
     def test_small_limits_empty(self):
         assert zmod.primes_up_to(1) == []
         assert zmod.primes_up_to(-3) == []
+
+    def test_sieve_ceiling(self):
+        with pytest.raises(BudgetExceededError, match="9-digit limit"):
+            zmod.primes_up_to(zmod.SIEVE_CEILING + 1)
+        with pytest.raises(BudgetExceededError):
+            zmod.least_prime_factors((zmod.SIEVE_CEILING + 1) ** 2)
+
+    @given(st.integers(1, 10**60))
+    def test_decimal_digits(self, m):
+        for value in (m, 10 ** len(str(m)) - 1, 10 ** len(str(m))):
+            assert zmod.decimal_digits(value) == len(str(value))
 
     def test_first_primes(self):
         assert zmod.first_primes(5) == [2, 3, 5, 7, 11]
