@@ -102,6 +102,14 @@ class TestPrimeBranch:
         assert zmod.legendre5(37) == -1 and psi.psi_of_prime(37).psi == 38
         assert zmod.legendre5(29) == 1 and psi.psi_of_prime(29).psi == 7
 
+    def test_branch_divisibility_all_primes_to_500(self):
+        for p in zmod.primes_up_to(500):
+            if p in (2, 5):
+                continue
+            value = psi.psi_of_prime(p).psi
+            target = p + 1 if zmod.legendre5(p) == -1 else (p - 1) // 2
+            assert target % value == 0
+
     def test_psi_bounded_by_p_plus_1_to_1e4(self):
         for p in zmod.primes_up_to(10**4):
             if p == 5:
@@ -112,6 +120,14 @@ class TestPrimeBranch:
         assert seq.u_mod(11, 11) != 0 and seq.u(4) % 11 == 0   # 11 | u_4
         assert seq.u(37) % 37 == 0 and seq.u(17) % 37 != 0     # 37 | u_37
         assert seq.u(3) % 3 == 0 and seq.u(0) % 3 != 0         # 3 | u_3, not u_0
+
+    def test_pair_consistent_with_legendre(self):
+        for p in zmod.primes_up_to(300):
+            if p in (2, 5):
+                continue
+            at_p, at_half = seq.u_mod(p, p) == 0, seq.u_mod((p - 3) // 2, p) == 0
+            assert at_p != at_half
+            assert at_p == (zmod.legendre5(p) == -1)
 
 
 class TestMinCommonPrime:
