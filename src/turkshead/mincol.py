@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import seq, thk, zmod
-from .psi import psi_of_prime
+from .psi import _rank_of_apparition, psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import (
     Coloring,
@@ -143,7 +143,11 @@ def construct_odd_psi(p: int) -> Coloring:
     """
     if not zmod.is_prime(p) or p <= 5:
         raise ValueError(f"need a prime greater than 5, got {p}")
-    q = psi_of_prime(p).psi
+    return _odd_psi_coloring(p, _rank_of_apparition(p)[0])
+
+
+def _odd_psi_coloring(p: int, q: int) -> Coloring:
+    """construct_odd_psi(p) for a prime p > 5 whose psi q is already known."""
     if q % 2 == 0:
         raise ValueError(f"psi({p}) = {q} is even; use the even construction")
     m00 = (seq.u_mod(q, p) + 1) % p
@@ -185,7 +189,11 @@ def construct_even_psi(p: int) -> Coloring:
     """
     if not zmod.is_prime(p) or p <= 5:
         raise ValueError(f"need a prime greater than 5, got {p}")
-    q = psi_of_prime(p).psi
+    return _even_psi_coloring(p, _rank_of_apparition(p)[0])
+
+
+def _even_psi_coloring(p: int, q: int) -> Coloring:
+    """construct_even_psi(p) for a prime p > 5 whose psi q is already known."""
     if q % 2 == 1:
         raise ValueError(f"psi({p}) = {q} is odd; use the odd construction")
     col = Coloring.from_input(q, p, (0, 1, 0))
@@ -216,10 +224,17 @@ def construct(p: int) -> Coloring:
     """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5.
 
     Dispatches on the parity of psi(p) to construct_odd_psi or
-    construct_even_psi.
+    construct_even_psi; psi_of_prime makes the one primality test.
     """
     q = psi_of_prime(p).psi
-    return construct_odd_psi(p) if q % 2 else construct_even_psi(p)
+    if p <= 5:
+        raise ValueError(f"need a prime greater than 5, got {p}")
+    return _construction(p, q)
+
+
+def _construction(p: int, q: int) -> Coloring:
+    """construct(p) for a prime p > 5 with psi(p) = q."""
+    return _odd_psi_coloring(p, q) if q % 2 else _even_psi_coloring(p, q)
 
 
 def estimate(p: int) -> int:
@@ -231,14 +246,15 @@ def estimate(p: int) -> int:
     """
     if not zmod.is_prime(p) or p <= 11:
         raise ValueError(f"need a prime greater than 11, got {p}")
-    return _checked_estimate(p, construct(p))
+    return _checked_estimate(p, _construction(p, _rank_of_apparition(p)[0]))
 
 
 def _checked_estimate(p: int, col: Coloring) -> int:
     """estimate(p), asserted against the palette of construct(p) = col."""
     q = col.n
     if q % 2 == 1:
-        bound = (p + 1) // 2 if zmod.legendre5(p) == -1 else (p - 1) // 2
+        # Euler's criterion; p is known prime, so legendre5's primality test is skipped
+        bound = (p + 1) // 2 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
     else:
         bound = q - 1 if q % 4 == 0 else q - 5
     if distinct_colors(col) > bound:
@@ -296,14 +312,17 @@ _EXACT_RULES: tuple[tuple[int, int, int, tuple[int, int, int]], ...] = (
 )
 
 
-def _construction_prime(primes: list[int]) -> int | None:
-    """The prime above 5 of least psi among `primes`, ties to the smaller one.
+def _construction_prime(primes: list[int]) -> tuple[int, int] | None:
+    """(p, psi(p)) for the prime p above 5 of least psi among `primes`, ties
+    to the smaller one.
 
     Its construction is the shortest braid to stack; None when every prime
     is 2, 3 or 5.
     """
     return min(
-        (p for p in primes if p > 5), key=lambda p: (psi_of_prime(p).psi, p), default=None
+        ((p, psi_of_prime(p).psi) for p in primes if p > 5),
+        key=lambda pq: (pq[1], pq[0]),
+        default=None,
     )
 
 
@@ -357,10 +376,10 @@ def mincol_exact(
         )
     provenance.append("lower-bound-5")
     routes: list[tuple[int, int, Coloring, str]] = []
-    p_star = _construction_prime(primes)
-    if p_star is not None:
-        col = construct(p_star)
-        q = col.n
+    found = _construction_prime(primes)
+    if found is not None:
+        p_star, q = found
+        col = _construction(p_star, q)
         if n % q != 0:
             raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
         label = f"construction(p={p_star},estimate-bound={_checked_estimate(p_star, col)})"

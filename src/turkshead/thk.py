@@ -17,6 +17,7 @@ the middle strand only repeats first-coordinate colors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import seq
@@ -61,11 +62,17 @@ def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
     """Trace of n block steps: n+1 levels starting from t."""
     if n < 0:
         raise ValueError("trace length must be nonnegative")
-    if r is not None:
-        t = reduce_triple(t, r)
-    out = [t]
+    if r is None:
+        out = [t]
+        for _ in range(n):
+            out.append(_block_step(out[-1], None))
+        return out
+    # the block step inlined: the standard-diagram search spends its time here
+    a, b, c = reduce_triple(t, r)
+    out = [(a, b, c)]
     for _ in range(n):
-        out.append(_block_step(out[-1], r))
+        a, b, c = (2 * a - c) % r, a, (2 * c - b) % r
+        out.append((a, b, c))
     return out
 
 
@@ -314,39 +321,22 @@ def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
     return gu, math.gcd(5 * um % r, r)
 
 
-def coloring_inputs_reduced(n: int, r: int, limit: int | None = None) -> list[Triple]:
-    """All coloring inputs via the reduced closure system, lex sorted.
+def _translation_representatives(n: int, r: int) -> Iterator[Triple]:
+    """The gu * g5 coloring inputs (a, b, 0) of the reduced closure system.
 
-    Agrees with enumerate_colorings wherever both run, but costs only as
-    many steps as there are solutions.  `limit` caps the solution count.
+    The block map fixes every constant state and is linear, so the inputs
+    are closed under (a, b, c) -> (a + t, b + t, c + t); each input is the
+    translate by c of exactly one of these.  With c = 0 the reduced system
+    leaves a in (r/gu)Z and b in (r/gu)Z (odd n), or b in (r/g5)Z and
+    a + 2b in (r/gu)Z (even n).
     """
-    if n < 1:
-        raise ValueError("diagram needs at least one block")
-    check_modulus(r)
     gu, g5 = _reduced_system_params(n, r)
-    total = r * gu * g5
-    if limit is not None and total > limit:
-        raise BudgetExceededError(
-            f"{total} colorings exceed the enumeration limit {limit}"
-        )
-    step_u = r // gu
-    out = []
-    if n % 2 == 1:
-        for c in range(r):
-            for i in range(gu):
-                a = (c + i * step_u) % r
-                for j in range(gu):
-                    out.append((a, (c + j * step_u) % r, c))
-    else:
-        step_5 = r // g5
-        for c in range(r):
-            for j in range(g5):
-                b = (c + j * step_5) % r
-                base = (3 * c - 2 * b) % r
-                for i in range(gu):
-                    out.append(((base + i * step_u) % r, b, c))
-    out.sort()
-    return out
+    step_u, step_5 = r // gu, r // g5
+    for j in range(g5):
+        b = j * step_5
+        base = 0 if n % 2 == 1 else -2 * b
+        for i in range(gu):
+            yield ((base + i * step_u) % r, b, 0)
 
 
 def min_colors_standard(
@@ -357,18 +347,35 @@ def min_colors_standard(
     Returns (count, lexicographically least witness), or None when only
     trivial colorings exist.  This is an upper bound for the diagram-free
     minimum, which ranges over all diagrams of the knot.
+
+    Translating every color by t maps colorings to colorings and keeps the
+    palette size, so only the gu * g5 representatives (a, b, 0) are
+    propagated, not all r * gu * g5 inputs.  The lex-least input of the
+    class of (a, b, 0) is its translate with first color 0,
+    (0, (b - a) mod r, (-a) mod r); the witness is the least of these over
+    the optimal representatives.  BudgetExceededError when the r * gu * g5
+    colorings exceed `budget`.
     """
-    inputs = coloring_inputs_reduced(n, r, limit=budget)
-    best: tuple[int, Coloring] | None = None
-    for t in inputs:
-        a, b, c = t
-        if a == b == c:
+    if n < 1:
+        raise ValueError("diagram needs at least one block")
+    check_modulus(r)
+    gu, g5 = _reduced_system_params(n, r)
+    total = r * gu * g5
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} colorings exceed the enumeration limit {budget}"
+        )
+    best: tuple[int, Triple] | None = None
+    for a, b, _ in _translation_representatives(n, r):
+        if a == b == 0:
             continue
-        col = Coloring.from_input(n, r, t)
-        k = distinct_colors(col)
-        if best is None or k < best[0]:
-            best = (k, col)
-    return best
+        k = distinct_colors(Coloring.from_input(n, r, (a, b, 0)))
+        key = (k, (0, (b - a) % r, -a % r))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    return best[0], Coloring.from_input(n, r, best[1])
 
 
 # -- transformations ----------------------------------------------------------

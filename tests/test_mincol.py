@@ -165,6 +165,43 @@ class TestEvenConstruction:
             mincol.construct_even_psi(11)  # psi(11) = 5 is odd
 
 
+class TestConstructionWork:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"psi_of_prime": 0, "is_prime": 0}
+        psi_of_prime, is_prime = mincol.psi_of_prime, zmod.is_prime
+
+        def counted_psi(p):
+            counts["psi_of_prime"] += 1
+            return psi_of_prime(p)
+
+        def counted_is_prime(p):
+            counts["is_prime"] += 1
+            return is_prime(p)
+
+        monkeypatch.setattr(mincol, "psi_of_prime", counted_psi)
+        monkeypatch.setattr(zmod, "is_prime", counted_is_prime)
+        return counts
+
+    @pytest.mark.parametrize("p", [29, 13])  # odd psi(29) = 7, even psi(13) = 14
+    def test_construct_computes_psi_and_primality_once(self, counts, p):
+        mincol.construct(p)
+        assert counts == {"psi_of_prime": 1, "is_prime": 1}
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [(mincol.construct_odd_psi, 29), (mincol.construct_even_psi, 13), (mincol.estimate, 29)],
+    )
+    def test_public_constructions_test_primality_once(self, counts, build, p):
+        build(p)
+        assert counts["is_prime"] == 1
+
+    def test_construction_route_reuses_the_psi_it_ranked_by(self, counts):
+        verdict = mincol.mincol_exact(7, 29)
+        assert "upper-from-construction(p=29,estimate-bound=14)" in verdict.provenance
+        assert counts == {"psi_of_prime": 1, "is_prime": 1}
+
+
 class TestEstimate:
     @pytest.mark.parametrize("p, expected", [(29, 14), (13, 9), (43, 43), (37, 33), (19, 9)])
     def test_examples(self, p, expected):
@@ -223,16 +260,16 @@ class TestVerdicts:
 
     def test_bounds_7_29(self, monkeypatch):
         calls = []
-        construct_odd = mincol.construct_odd_psi
+        build_odd = mincol._odd_psi_coloring
         monkeypatch.setattr(
-            mincol, "construct_odd_psi", lambda p: calls.append(p) or construct_odd(p)
+            mincol, "_odd_psi_coloring", lambda p, q: calls.append((p, q)) or build_odd(p, q)
         )
         verdict = mincol.mincol_exact(7, 29)
         assert verdict.kind == "bounds"
         assert (verdict.lower, verdict.upper) == (5, 7)
         assert verdict.witness.input_triple == (1, 5, 0)
         assert any("construction" in step for step in verdict.provenance)
-        assert calls == [29]  # the witness is built once
+        assert calls == [(29, 7)]  # the witness is built once, from psi(29) = 7
 
     def test_bounds_of_10_11_close_to_exact(self):
         verdict = mincol.mincol_exact(10, 11)

@@ -135,7 +135,10 @@ class TestMinCommonPrime:
     # of least psi, ties to the smaller prime
     @staticmethod
     def select(n, r):
-        return mincol._construction_prime(mincol._common_primes(n, r))
+        found = mincol._construction_prime(mincol._common_primes(n, r))
+        if found is not None:
+            assert found[1] == psi.psi_of_prime(found[0]).psi
+        return found and found[0]
 
     def test_examples(self):
         assert self.select(5, 11) == 11

@@ -108,20 +108,23 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError, match="budget"):
             thk.enumerate_colorings(3, 101, budget=10**6)
 
+    @staticmethod
+    def translates_of_representatives(n, r):
+        reps = list(thk._translation_representatives(n, r))
+        gu, g5 = thk._reduced_system_params(n, r)
+        assert len(reps) == gu * g5 and all(t[2] == 0 for t in reps)
+        return sorted(((a + t) % r, (b + t) % r, t) for a, b, _ in reps for t in range(r))
+
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("r", range(2, 10))
     def test_reduced_path_agrees_with_oracle(self, n, r):
         oracle = [c.input_triple for c in thk.enumerate_colorings(n, r)]
-        assert thk.coloring_inputs_reduced(n, r) == oracle
+        assert self.translates_of_representatives(n, r) == oracle
 
     @pytest.mark.parametrize("n, r", [(8, 7), (10, 11), (12, 16), (9, 15)])
     def test_reduced_path_agrees_on_resonant_cases(self, n, r):
         oracle = [c.input_triple for c in thk.enumerate_colorings(n, r)]
-        assert thk.coloring_inputs_reduced(n, r) == oracle
-
-    def test_reduced_path_limit(self):
-        with pytest.raises(BudgetExceededError):
-            thk.coloring_inputs_reduced(5, 11, limit=100)
+        assert self.translates_of_representatives(n, r) == oracle
 
 
 class TestColoring:
@@ -242,6 +245,36 @@ class TestMinColorsStandard:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             thk.min_colors_standard(5, 11, budget=100)
+
+    def test_agrees_with_the_oracle_for_small_n_and_r(self):
+        # the least palette over all nontrivial colorings, paired with the
+        # lex-least input reaching it (enumerate_colorings is lex ordered)
+        for n in range(1, 31):
+            for r in range(2, 21):
+                expected = None
+                for col in thk.enumerate_colorings(n, r):
+                    xs, _, zs = zip(*col.trace)
+                    pair = (len(set(xs).union(zs)), col.input_triple)
+                    if pair[0] > 1 and (expected is None or pair < expected):
+                        expected = pair
+                found = thk.min_colors_standard(n, r)
+                got = found and (found[0], found[1].input_triple)
+                assert got == expected, (n, r)
+                if found is not None:
+                    assert found[1] == thk.Coloring.from_input(n, r, expected[1])
+
+    def test_propagates_one_input_per_translation_class(self, monkeypatch):
+        calls = []
+        from_input = thk.Coloring.from_input
+        monkeypatch.setattr(
+            thk.Coloring,
+            "from_input",
+            classmethod(lambda cls, *args: calls.append(args) or from_input(*args)),
+        )
+        gu, g5 = thk._reduced_system_params(7, 29)
+        assert thk.min_colors_standard(7, 29)[0] == 7
+        # the representatives, less the trivial one, plus the witness
+        assert len(calls) <= gu * g5 + 1 == 29 * 29 + 1
 
     def test_matches_exhaustive_minimum(self):
         for n, r in [(5, 11), (7, 29)]:
