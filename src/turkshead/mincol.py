@@ -80,16 +80,16 @@ class SaitoClass:
     least_common_prime: int
 
 
-def _common_primes(n: int, r: int) -> list[int]:
-    """Primes dividing both r and det THK(3, n), ascending.
+def _common_primes(gu: int, g5: int) -> list[int]:
+    """Primes dividing both r and det THK(3, n), ascending, from
+    (gu, g5) = thk._reduced_system_params(n, r).
 
     The determinant is u_{n-1}^2, times 5 for even n, so these are the
-    primes of gcd(u_{n-1} mod r, r), with 5 added when n is even and 5 | r
-    (exactly when 5 divides g5 = gcd(5 u_{n-1} mod r, r)).  Only that gcd is
-    factored, never r itself.
+    primes of gu = gcd(u_{n-1} mod r, r), with 5 added when n is even and
+    5 | r (exactly when 5 divides g5 = gcd(5 u_{n-1} mod r, r)).  Only that
+    gcd is factored, by zmod.factor, never r itself.
     """
-    gu, g5 = thk._reduced_system_params(n, r)
-    primes = set(zmod.least_prime_factors(gu))
+    primes = set(zmod.factor(gu))
     if g5 % 5 == 0:
         primes.add(5)
     return sorted(primes)
@@ -106,7 +106,7 @@ def _constraint(lcp: int) -> tuple[str, int]:
 
 def least_common_prime(n: int, r: int) -> int:
     """Least prime dividing both r and det THK(3, n); 1 when coprime."""
-    primes = _common_primes(n, r)
+    primes = _common_primes(*thk._reduced_system_params(n, r))
     return primes[0] if primes else 1
 
 
@@ -121,7 +121,7 @@ def saito_classify(n: int, r: int) -> tuple[SaitoClass, tuple[str, int]]:
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    primes = _common_primes(n, r)
+    primes = _common_primes(*thk._reduced_system_params(n, r))
     if not primes:
         raise ValueError(
             f"THK(3, {n}) mod {r} has only trivial colorings; nothing to classify"
@@ -346,7 +346,8 @@ def mincol_exact(
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    primes = _common_primes(n, r)
+    gu, g5 = thk._reduced_system_params(n, r)
+    primes = _common_primes(gu, g5)
     if not primes:
         return MincolVerdict(
             n, r, "only-trivial", None, None, None, ("no-nontrivial-colorings",)
@@ -386,8 +387,8 @@ def mincol_exact(
         col, steps = _transport(col, n, r)
         label += "".join(f"+{step}" for step in steps)
         routes.append((distinct_colors(col), 0, col, label))
-    if r**3 <= budget and count_colorings(n, r) * n <= budget:
-        found = min_colors_standard(n, r, budget)
+    if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
+        found = min_colors_standard(n, r, budget, (gu, g5))
         if found is None:
             raise AssertionError(f"nontrivial colorings vanished at ({n}, {r})")
         routes.append((found[0], 1, found[1], "standard-diagram-search"))

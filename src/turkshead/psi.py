@@ -5,6 +5,14 @@ stream of u mod r is periodic (it is determined by four consecutive terms,
 of which there are finitely many combinations), and u_{-1} = 0 sits inside
 the period.  psi governs which THK(3, n) admit nontrivial r-colorings: for
 prime r other than 5, THK(3, psi(r)) is the shortest braid with one.
+
+psi is a rank of apparition, so it is computed by the order algorithm: the
+indices q with r | u_{q-1} are exactly the multiples of psi(r), and psi(p^k)
+divides psi(p) p^(k-1) (Wall 1960; Vinson 1963), so factoring r gives a
+multiple of psi(r) from which each prime is divided out while r still
+divides the earlier term.  Each such rank test costs O(log r).  The residue
+scan, psi_scan, is kept as the fallback for moduli that zmod.factor cannot
+factor within its budget, and as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +35,46 @@ class PsiValue:
 
 
 def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
-    """First q with r | u_{q-1}, found by scanning the residue stream.
+    """First q with r | u_{q-1}, by the order algorithm on the factors of r.
+
+    Descends (_descend) from the multiple of psi(r) that _psi_multiple
+    builds from the factors of r.  When zmod.factor exceeds its budget,
+    psi_scan answers instead.  Either way a psi above `cap` raises the
+    scan's BudgetExceededError, so the cap bounds the reported psi and the
+    fallback scan alike, and `steps_scanned` is psi, the length of the scan
+    that finds it.
+    """
+    zmod.check_modulus(r)
+    try:
+        bound, primes = _psi_multiple(r)
+    except BudgetExceededError:
+        return psi_scan(r, cap)
+    q = _descend(r, bound, primes)[0]
+    if q > cap:
+        raise BudgetExceededError(f"psi({r}) not found within the scan cap {cap}")
+    return PsiValue(r, q, q)
+
+
+def _psi_multiple(r: int) -> tuple[int, set[int]]:
+    """(B, the primes of B) for a multiple B of psi(r).
+
+    For each prime power p^k exactly dividing r, psi(p^k) divides
+    psi(p) p^(k-1), and psi(p) divides _order_bound(p); B is the lcm of
+    these bounds times p^(k-1).  BudgetExceededError when zmod.factor cannot
+    factor r or a bound.
+    """
+    bound, primes = 1, set()
+    for p, k in zmod.factor(r).items():
+        prime_bound = _order_bound(p)
+        bound = math.lcm(bound, prime_bound * p ** (k - 1))
+        primes.update(zmod.factor(prime_bound))
+        if k > 1:
+            primes.add(p)
+    return bound, primes
+
+
+def psi_scan(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
+    """psi(r) by scanning the residue stream of u mod r, visiting psi(r) residues.
 
     Errors out at the scan cap rather than ever returning a wrong answer;
     the pigeonhole bound r^4 + 1 guarantees termination below any sane cap.
@@ -44,29 +91,45 @@ def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
     raise AssertionError("unreachable")
 
 
-def _rank_of_apparition(p: int, small_primes: list[int] | None = None) -> tuple[int, int]:
-    """(psi(p), rank tests made) for a prime p, by the order algorithm.
+def _order_bound(p: int) -> int:
+    """A multiple of psi(p) for a prime p.
 
-    The bound B is p + 1 or (p - 1)/2 by the sign of 5^((p-1)/2) mod p, or
-    30 for p = 2 and p = 5.  p | u_{B-1} is asserted; since the indices q
-    with p | u_{q-1} are exactly the multiples of psi(p), each prime l | B is
-    then divided out of B for as long as p | u_{B/l - 1} still holds.
-    `small_primes` must cover isqrt(B) (see zmod.least_prime_factors).
+    30 for p = 2 and p = 5; otherwise p + 1 or (p - 1)/2 by the sign of
+    5^((p-1)/2) mod p.
     """
     if p in (2, 5):
-        bound = 30
-    else:
-        bound = p + 1 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
-    if seq.u_mod(bound - 1, p) != 0:
-        raise AssertionError(f"{p} does not divide u_{bound - 1}")
+        return 30
+    return p + 1 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
+
+
+def _descend(r: int, bound: int, primes) -> tuple[int, int]:
+    """(psi(r), rank tests made) from a multiple `bound` of psi(r).
+
+    r | u_{bound-1} is asserted; since the indices q with r | u_{q-1} are
+    exactly the multiples of psi(r), each prime l of bound (from `primes`,
+    which must include them all) is then divided out for as long as
+    r | u_{q/l - 1} still holds.
+    """
+    if seq.u_mod(bound - 1, r) != 0:
+        raise AssertionError(f"{r} does not divide u_{bound - 1}")
     q, tests = bound, 1
-    for ell in zmod.least_prime_factors(bound, small_primes):
+    for ell in primes:
         while q % ell == 0:
             tests += 1
-            if seq.u_mod(q // ell - 1, p) != 0:
+            if seq.u_mod(q // ell - 1, r) != 0:
                 break
             q //= ell
     return q, tests
+
+
+def _rank_of_apparition(p: int, small_primes: list[int] | None = None) -> tuple[int, int]:
+    """(psi(p), rank tests made) for a prime p, descending from _order_bound(p).
+
+    `small_primes` must cover isqrt of the bound (see
+    zmod.least_prime_factors); without them the bound goes to zmod.factor.
+    """
+    bound = _order_bound(p)
+    return _descend(p, bound, zmod.least_prime_factors(bound, small_primes))
 
 
 def psi_of_prime(p: int) -> PsiValue:

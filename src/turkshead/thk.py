@@ -321,8 +321,9 @@ def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
     return gu, math.gcd(5 * um % r, r)
 
 
-def _translation_representatives(n: int, r: int) -> Iterator[Triple]:
-    """The gu * g5 coloring inputs (a, b, 0) of the reduced closure system.
+def _translation_representatives(n: int, r: int, gu: int, g5: int) -> Iterator[Triple]:
+    """The gu * g5 coloring inputs (a, b, 0) of the reduced closure system,
+    given its class sizes (gu, g5) = _reduced_system_params(n, r).
 
     The block map fixes every constant state and is linear, so the inputs
     are closed under (a, b, c) -> (a + t, b + t, c + t); each input is the
@@ -330,7 +331,6 @@ def _translation_representatives(n: int, r: int) -> Iterator[Triple]:
     leaves a in (r/gu)Z and b in (r/gu)Z (odd n), or b in (r/g5)Z and
     a + 2b in (r/gu)Z (even n).
     """
-    gu, g5 = _reduced_system_params(n, r)
     step_u, step_5 = r // gu, r // g5
     for j in range(g5):
         b = j * step_5
@@ -340,7 +340,10 @@ def _translation_representatives(n: int, r: int) -> Iterator[Triple]:
 
 
 def min_colors_standard(
-    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
+    n: int,
+    r: int,
+    budget: int = DEFAULT_BRUTE_FORCE_BUDGET,
+    params: tuple[int, int] | None = None,
 ) -> tuple[int, Coloring] | None:
     """Minimum palette over nontrivial colorings of the standard diagram.
 
@@ -354,19 +357,20 @@ def min_colors_standard(
     class of (a, b, 0) is its translate with first color 0,
     (0, (b - a) mod r, (-a) mod r); the witness is the least of these over
     the optimal representatives.  BudgetExceededError when the r * gu * g5
-    colorings exceed `budget`.
+    colorings exceed `budget`.  A caller that already holds
+    (gu, g5) = _reduced_system_params(n, r) passes it as `params`.
     """
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    gu, g5 = _reduced_system_params(n, r)
+    gu, g5 = params or _reduced_system_params(n, r)
     total = r * gu * g5
     if total > budget:
         raise BudgetExceededError(
             f"{total} colorings exceed the enumeration limit {budget}"
         )
     best: tuple[int, Triple] | None = None
-    for a, b, _ in _translation_representatives(n, r):
+    for a, b, _ in _translation_representatives(n, r, gu, g5):
         if a == b == 0:
             continue
         k = distinct_colors(Coloring.from_input(n, r, (a, b, 0)))

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +162,48 @@ class TestEnvironmentOverrides:
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("THK_BUDGET", "lots")
         assert run(capsys, "det", "2")[0] == 1
+
+
+class TestHostileInput:
+    # each run gets a clean exit (0, or 2 for a budget) within bounded time
+    # and memory, never a traceback; VmHWM is the child's own peak
+    CHILD = (
+        "import resource, sys\n"
+        "from turkshead.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "try:\n"
+        "    peak = int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(f'peak_kb={peak}', file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code, said",
+        [
+            # a prime near 10^18: psi is far above the cap
+            (("psi", str(10**18 + 3)), 2, "scan cap 10000"),
+            # a 40-digit semiprime: rho cannot split it, so the scan runs to the cap
+            (("psi", str((10**19 + 51) * (10**20 + 39))), 2, "scan cap 10000"),
+            # u_1000 (209 digits) cannot be factored, but the scan finds psi at once
+            (("psi", str(seq.u(1000))), 0, "= 1001 (1001 residues scanned)"),
+            # a 30-digit probable prime: its primality cannot be proven
+            (("construct", str(10**29 + 319)), 2, "Miller-Rabin"),
+        ],
+        ids=["prime-1e18", "semiprime-40-digits", "u1000", "construct-30-digits"],
+    )
+    def test_clean_exit_in_bounded_time_and_memory(self, argv, code, said):
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "--psi-cap", "10000", *argv],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - started < 10
+        assert done.returncode == code and "Traceback" not in done.stderr
+        assert said in done.stdout + done.stderr
+        assert int(done.stderr.split("peak_kb=")[1]) < 100 * 1024

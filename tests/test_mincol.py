@@ -91,6 +91,10 @@ class TestSaitoClassification:
         assert mincol.least_common_prime(5, 7) == 1
 
 
+def common_primes(n, r):
+    return mincol._common_primes(*thk._reduced_system_params(n, r))
+
+
 class TestCommonPrimes:
     def test_equal_to_the_primes_of_r_dividing_the_determinant(self):
         primes_of = {r: [p for p in zmod.primes_up_to(r) if r % p == 0] for r in range(2, 301)}
@@ -98,7 +102,15 @@ class TestCommonPrimes:
             det = mincol.determinant(n).value
             for r, primes in primes_of.items():
                 expected = [p for p in primes if det % p == 0]
-                assert mincol._common_primes(n, r) == expected, (n, r)
+                assert common_primes(n, r) == expected, (n, r)
+
+    def test_gcd_of_two_large_primes_gets_a_verdict(self):
+        # both primes divide u_122, so the gcd is r itself, about 2.7e18:
+        # trial division would sieve to ~1.6e9, past the sieve ceiling
+        r = 370248451 * 7188487771
+        assert common_primes(123, r) == [370248451, 7188487771]
+        verdict = mincol.mincol_exact(123, r)
+        assert (verdict.kind, verdict.lower, verdict.upper) == ("bounds", 5, 41)
 
     def test_large_modulus_factors_only_the_gcd(self, monkeypatch):
         # r has a prime factor near 10^20, so factoring r itself would sieve

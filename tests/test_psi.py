@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turkshead import mincol, psi, seq, zmod
+from turkshead import mincol, psi, seq, thk, zmod
 from turkshead.config import BudgetExceededError
 
 
@@ -32,10 +32,70 @@ class TestPsi:
             psi.psi(1)
 
 
+def outcome(route, r, cap):
+    try:
+        return route(r, cap)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def is_rank_of_apparition(r, q):
+    # r | u_{q-1} and no q / l with l a prime of q works; the zero indices
+    # are the multiples of psi(r), so q is the least
+    return seq.u_mod(q - 1, r) == 0 and all(
+        seq.u_mod(q // ell - 1, r) != 0 for ell in zmod.factor(q)
+    )
+
+
+class TestOrderRoute:
+    # psi.psi factors r and descends from a multiple of psi(r); psi_scan,
+    # the residue scan, is the oracle
+
+    def test_agrees_with_scan_for_every_modulus_to_4000(self):
+        for r in range(2, 4001):
+            assert psi.psi(r) == psi.psi_scan(r), r
+
+    def test_prime_powers(self):
+        # psi(p^k) = psi(p) p^(k-1) here: psi(2) = 3 (from 2^3 on), psi(3) = 4,
+        # psi(5) = 10, psi(7) = 8
+        assert psi.psi(5**9, cap=10**7) == psi.psi_scan(5**9, cap=10**7)
+        for r, expected in ((2**40, 3 * 2**38), (3**20 * 7, 8 * 3**19), (5**9, 10 * 5**8)):
+            assert psi.psi(r, cap=10**13).psi == expected
+            assert is_rank_of_apparition(r, expected)
+
+    def test_beyond_any_scan(self, monkeypatch):
+        def no_scan(r, cap):
+            raise AssertionError(f"scanned the residues of {r}")
+
+        monkeypatch.setattr(psi, "psi_scan", no_scan)
+        r = 1299709 * 1000003
+        assert psi.psi(r, cap=10**11) == psi.PsiValue(r, 36103144412, 36103144412)
+        assert is_rank_of_apparition(r, 36103144412)
+
+    def test_unfactorable_modulus_falls_back_to_the_scan(self, monkeypatch):
+        # u_1000 has 209 digits and a cofactor rho cannot split, yet it
+        # divides u_1000 itself, so the scan stops after 1001 residues
+        r = seq.u(1000)
+        with pytest.raises(BudgetExceededError):
+            zmod.factor(r)
+        scans = []
+        scan = psi.psi_scan
+        monkeypatch.setattr(psi, "psi_scan", lambda r, cap: scans.append(r) or scan(r, cap))
+        assert psi.psi(r) == psi.PsiValue(r, 1001, 1001)
+        assert scans == [r]
+
+    @pytest.mark.parametrize(
+        "r, cap", [(150, 100), (13, 10), (150, 300), (13, 14), (150, 299), (13, 13), (2, 3), (2, 2)]
+    )
+    def test_cap_raises_exactly_when_the_scan_does(self, r, cap):
+        # psi(150) = 300 and psi(13) = 14: a psi equal to the cap is returned
+        assert outcome(psi.psi, r, cap) == outcome(psi.psi_scan, r, cap)
+
+
 class TestPsiOfPrime:
     def test_agrees_with_scan_for_all_primes_to_500(self):
         for p in zmod.primes_up_to(500):
-            assert psi.psi_of_prime(p).psi == psi.psi(p).psi
+            assert psi.psi_of_prime(p).psi == psi.psi_scan(p).psi
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -48,7 +108,7 @@ class TestPsiOfPrime:
     def test_agrees_with_scan_for_all_primes_to_3000(self):
         for p in zmod.primes_up_to(3000):
             q = psi.psi_of_prime(p).psi
-            assert q == psi.psi(p).psi
+            assert q == psi.psi_scan(p).psi
             if p in (2, 5):
                 continue
             # the dichotomy: psi(p) | p + 1 when 5^((p-1)/2) == -1 mod p, else
@@ -130,12 +190,16 @@ class TestPrimeBranch:
             assert at_p == (zmod.legendre5(p) == -1)
 
 
+def common_primes(n, r):
+    return mincol._common_primes(*thk._reduced_system_params(n, r))
+
+
 class TestMinCommonPrime:
     # mincol's construction prime: the common prime of u_{n-1} and r above 5
     # of least psi, ties to the smaller prime
     @staticmethod
     def select(n, r):
-        found = mincol._construction_prime(mincol._common_primes(n, r))
+        found = mincol._construction_prime(common_primes(n, r))
         if found is not None:
             assert found[1] == psi.psi_of_prime(found[0]).psi
         return found and found[0]
@@ -146,7 +210,7 @@ class TestMinCommonPrime:
         assert self.select(7, 29) == 29
 
     def test_requires_common_factor(self):
-        assert mincol._common_primes(5, 7) == []
+        assert common_primes(5, 7) == []
         assert self.select(5, 7) is None
 
     def test_none_when_only_small_primes_shared(self):
@@ -181,7 +245,7 @@ class TestPrimeStats:
 
     def test_matches_flag_each_prime(self):
         primes = zmod.first_primes(300)
-        expected = [psi.psi(p).psi == p + 1 for p in primes]
+        expected = [psi.psi_scan(p).psi == p + 1 for p in primes]
         assert psi.prime_psi_matches(300) == expected
 
     def test_rejects_nonpositive(self):

@@ -110,8 +110,8 @@ class TestEnumeration:
 
     @staticmethod
     def translates_of_representatives(n, r):
-        reps = list(thk._translation_representatives(n, r))
         gu, g5 = thk._reduced_system_params(n, r)
+        reps = list(thk._translation_representatives(n, r, gu, g5))
         assert len(reps) == gu * g5 and all(t[2] == 0 for t in reps)
         return sorted(((a + t) % r, (b + t) % r, t) for a, b, _ in reps for t in range(r))
 
