@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=None, help="max triples for exhaustive scans")
     parser.add_argument(
         "--psi-cap", type=int, default=None,
-        help="max residues the residue scan of psi and psi-table may visit",
+        help="cap on the psi that psi and psi-table report, and on the residues "
+        "their fallback scan may visit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -102,6 +102,12 @@ def _order_bound(p: int) -> int:
     return p + 1 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
 
 
+def _check_bound(r: int, bound: int) -> None:
+    """Assert r | u_{bound-1}: the proof that psi(r) divides `bound`."""
+    if seq.u_mod(bound - 1, r) != 0:
+        raise AssertionError(f"{r} does not divide u_{bound - 1}")
+
+
 def _descend(r: int, bound: int, primes) -> tuple[int, int]:
     """(psi(r), rank tests made) from a multiple `bound` of psi(r).
 
@@ -110,8 +116,7 @@ def _descend(r: int, bound: int, primes) -> tuple[int, int]:
     which must include them all) is then divided out for as long as
     r | u_{q/l - 1} still holds.
     """
-    if seq.u_mod(bound - 1, r) != 0:
-        raise AssertionError(f"{r} does not divide u_{bound - 1}")
+    _check_bound(r, bound)
     q, tests = bound, 1
     for ell in primes:
         while q % ell == 0:
@@ -122,14 +127,10 @@ def _descend(r: int, bound: int, primes) -> tuple[int, int]:
     return q, tests
 
 
-def _rank_of_apparition(p: int, small_primes: list[int] | None = None) -> tuple[int, int]:
-    """(psi(p), rank tests made) for a prime p, descending from _order_bound(p).
-
-    `small_primes` must cover isqrt of the bound (see
-    zmod.least_prime_factors); without them the bound goes to zmod.factor.
-    """
+def _rank_of_apparition(p: int) -> tuple[int, int]:
+    """(psi(p), rank tests made) for a prime p, descending from _order_bound(p)."""
     bound = _order_bound(p)
-    return _descend(p, bound, zmod.least_prime_factors(bound, small_primes))
+    return _descend(p, bound, zmod.factor(bound))
 
 
 def psi_of_prime(p: int) -> PsiValue:
@@ -169,14 +170,38 @@ class PrimeStats:
 def prime_psi_matches(count: int) -> list[bool]:
     """For each of the first `count` primes, ascending, whether psi(p) = p + 1.
 
-    The sieve that lists the primes proves them prime, and one list of small
-    primes up to the square root of the largest bound factors every bound.
+    Each prime gets the certificate of the statement, not its psi.  The
+    check p | u_{B-1} at the bound B = _order_bound(p) is asserted for
+    every prime and proves psi(p) | B.  Then psi(p) = p + 1 exactly when
+    (p + 1) | B, p | u_p, and p does not divide u_{(p+1)/l - 1} for any
+    prime l of p + 1; the tests stop at the first l that fails.  So a
+    prime with 5^((p-1)/2) = 1 mod p, whose bound is (p - 1)/2, costs the
+    bound check alone.  The sieve that lists the primes proves them prime,
+    and one list of small primes up to the square root of the largest
+    p + 1 factors every p + 1 that is tested.
     """
     if count < 1:
         raise ValueError("prime count must be positive")
     primes = zmod.first_primes(count)
-    small_primes = zmod.primes_up_to(math.isqrt(max(primes[-1] + 1, 30)))
-    return [_rank_of_apparition(p, small_primes)[0] == p + 1 for p in primes]
+    small_primes = zmod.primes_up_to(math.isqrt(primes[-1] + 1))
+    return [_psi_is_p_plus_1(p, small_primes) for p in primes]
+
+
+def _psi_is_p_plus_1(p: int, small_primes: list[int]) -> bool:
+    """Whether psi(p) = p + 1 for a prime p, by the certificate above.
+
+    `small_primes` must cover isqrt(p + 1) (see zmod.least_prime_factors).
+    """
+    bound = _order_bound(p)
+    _check_bound(p, bound)
+    q = p + 1
+    # when B = p + 1, the bound check has shown p | u_p already
+    if bound % q or (bound != q and seq.u_mod(q - 1, p) != 0):
+        return False
+    return all(
+        seq.u_mod(q // ell - 1, p) != 0
+        for ell in zmod.least_prime_factors(q, small_primes)
+    )
 
 
 def prime_psi_stats(count: int) -> PrimeStats:
@@ -185,8 +210,9 @@ def prime_psi_stats(count: int) -> PrimeStats:
     p = 2 is one of them (psi(2) = 3 = 2 + 1) and is counted, so the first
     10,000 primes give 3,970; the published 3,969 counts odd primes only.
 
-    psi is computed fully for every prime (the order algorithm returns the
-    true minimum, not just a test at one index).
+    Each verdict is certified by prime_psi_matches: the bound check
+    p | u_{B-1}, then p | u_p and one rank test per prime l of p + 1
+    showing that no proper divisor (p + 1)/l is a zero index.
     """
     matched = sum(prime_psi_matches(count))
     return PrimeStats(count, matched, Fraction(matched, count))

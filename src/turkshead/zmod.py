@@ -6,6 +6,7 @@ representation serves for equality tests everywhere else.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .config import BudgetExceededError
@@ -138,7 +139,7 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 def first_primes(count: int) -> list[int]:

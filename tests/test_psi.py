@@ -244,13 +244,51 @@ class TestPrimeStats:
         assert psi.prime_psi_stats(count).matched == matched
 
     def test_matches_flag_each_prime(self):
-        primes = zmod.first_primes(300)
+        primes = zmod.primes_up_to(2999)
         expected = [psi.psi_scan(p).psi == p + 1 for p in primes]
-        assert psi.prime_psi_matches(300) == expected
+        assert psi.prime_psi_matches(len(primes)) == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             psi.prime_psi_stats(0)
+
+
+def count_u_mod_calls(monkeypatch, count):
+    calls = []
+    u_mod = seq.u_mod
+
+    def counted(n, r):
+        calls.append((n, r))
+        return u_mod(n, r)
+
+    monkeypatch.setattr(seq, "u_mod", counted)
+    psi.prime_psi_matches(count)
+    return len(calls)
+
+
+class TestPrimeSweepCertificate:
+    # the sweep tests psi(p) = p + 1 directly: the bound check, then one
+    # rank test per prime of p + 1, and none at all when the bound is
+    # (p-1)/2; test_matches_flag_each_prime checks the verdicts against
+    # the scan for every prime below 3,000
+
+    def test_rank_tests_in_the_paper_sweep(self, monkeypatch):
+        # descending to psi(p) for every prime takes 42,108 calls
+        assert count_u_mod_calls(monkeypatch, 10000) <= 24200
+
+    def test_plus_one_sign_costs_only_the_bound_check(self, monkeypatch):
+        # 11 is the fifth prime and 5 = 4^2 mod 11, so its bound is 5
+        assert pow(5, 5, 11) == 1
+        assert count_u_mod_calls(monkeypatch, 5) - count_u_mod_calls(monkeypatch, 4) == 1
+
+    def test_bound_check_is_kept(self, monkeypatch):
+        # 7 does not divide u_6 (psi(7) = 8), so a bound of 7 must be refuted
+        order_bound = psi._order_bound
+        monkeypatch.setattr(
+            psi, "_order_bound", lambda p: 7 if p == 7 else order_bound(p)
+        )
+        with pytest.raises(AssertionError, match="7 does not divide u_6"):
+            psi.prime_psi_matches(10)
 
 
 class TestColorUsage:
