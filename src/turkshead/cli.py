@@ -18,7 +18,7 @@ import time
 
 from . import mincol, thk, verify, zmod
 from .config import BudgetExceededError, RunConfig, config_from_env
-from .psi import color_usage_ratio, prime_psi_stats, psi
+from .psi import color_usage_ratio, prime_psi_stats, psi, psi_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,8 +106,8 @@ def _check_printable(digits: int, what: str) -> None:
 
 
 def cmd_count(args, config: RunConfig) -> int:
-    value = mincol.count_colorings(args.n, args.r)
     _no_csv(config.output_format, "count")
+    value = mincol.count_colorings(args.n, args.r)
     _check_printable(zmod.decimal_digits(value), f"the coloring count of THK(3, {args.n})")
     if config.output_format == "json":
         _emit_json({"n": args.n, "r": args.r, "count": value})
@@ -130,8 +130,8 @@ def cmd_det(args, config: RunConfig) -> int:
 
 
 def cmd_psi(args, config: RunConfig) -> int:
-    result = psi(args.r, config.psi_scan_cap)
     _no_csv(config.output_format, "psi")
+    result = psi(args.r, config.psi_scan_cap)
     if config.output_format == "json":
         _emit_json(result.to_json_dict())
     else:
@@ -142,7 +142,7 @@ def cmd_psi(args, config: RunConfig) -> int:
 def cmd_psi_table(args, config: RunConfig) -> int:
     if args.max_r < 2:
         raise ValueError("--max must be at least 2")
-    values = [(r, psi(r, config.psi_scan_cap).psi) for r in range(2, args.max_r + 1)]
+    values = psi_table(args.max_r, config.psi_scan_cap)
     if config.output_format == "json":
         _emit_json({"max": args.max_r, "psi": {str(r): q for r, q in values}})
     elif config.output_format == "csv":
@@ -154,8 +154,8 @@ def cmd_psi_table(args, config: RunConfig) -> int:
 
 
 def cmd_mincol(args, config: RunConfig) -> int:
-    verdict = mincol.mincol_exact(args.n, args.r, config.brute_force_budget)
     _no_csv(config.output_format, "mincol")
+    verdict = mincol.mincol_exact(args.n, args.r, config.brute_force_budget)
     if config.output_format == "json":
         _emit_json(verdict.to_json_dict())
         return EXIT_OK
@@ -178,9 +178,9 @@ def cmd_mincol(args, config: RunConfig) -> int:
 
 
 def cmd_construct(args, config: RunConfig) -> int:
+    _no_csv(config.output_format, "construct")
     coloring = mincol.construct(args.p)
     q = coloring.n
-    _no_csv(config.output_format, "construct")
     if config.output_format == "json":
         _emit_json(coloring.to_json_dict())
     else:

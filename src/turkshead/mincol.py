@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import seq, thk, zmod
-from .psi import _rank_of_apparition, psi_of_prime
+from .psi import _prime_power_psi, psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import (
     Coloring,
@@ -143,7 +143,7 @@ def construct_odd_psi(p: int) -> Coloring:
     """
     if not zmod.is_prime(p) or p <= 5:
         raise ValueError(f"need a prime greater than 5, got {p}")
-    return _odd_psi_coloring(p, _rank_of_apparition(p)[0])
+    return _odd_psi_coloring(p, _prime_power_psi(p)[0])
 
 
 def _odd_psi_coloring(p: int, q: int) -> Coloring:
@@ -189,7 +189,7 @@ def construct_even_psi(p: int) -> Coloring:
     """
     if not zmod.is_prime(p) or p <= 5:
         raise ValueError(f"need a prime greater than 5, got {p}")
-    return _even_psi_coloring(p, _rank_of_apparition(p)[0])
+    return _even_psi_coloring(p, _prime_power_psi(p)[0])
 
 
 def _even_psi_coloring(p: int, q: int) -> Coloring:
@@ -246,7 +246,7 @@ def estimate(p: int) -> int:
     """
     if not zmod.is_prime(p) or p <= 11:
         raise ValueError(f"need a prime greater than 11, got {p}")
-    return _checked_estimate(p, _construction(p, _rank_of_apparition(p)[0]))
+    return _checked_estimate(p, _construction(p, _prime_power_psi(p)[0]))
 
 
 def _checked_estimate(p: int, col: Coloring) -> int:

@@ -7,12 +7,16 @@ the period.  psi governs which THK(3, n) admit nontrivial r-colorings: for
 prime r other than 5, THK(3, psi(r)) is the shortest braid with one.
 
 psi is a rank of apparition, so it is computed by the order algorithm: the
-indices q with r | u_{q-1} are exactly the multiples of psi(r), and psi(p^k)
-divides psi(p) p^(k-1) (Wall 1960; Vinson 1963), so factoring r gives a
-multiple of psi(r) from which each prime is divided out while r still
-divides the earlier term.  Each such rank test costs O(log r).  The residue
-scan, psi_scan, is kept as the fallback for moduli that zmod.factor cannot
-factor within its budget, and as the oracle of the tests.
+indices q with r | u_{q-1} are exactly the multiples of psi(r), so psi(r) is
+the lcm of psi(p^k) over the prime powers p^k exactly dividing r, and
+psi(p^k) divides psi(p) p^(k-1) (Wall 1960; Vinson 1963).  For each prime
+power, _prime_power_psi descends from that multiple, dividing out each prime
+while p^k still divides the earlier term; each such rank test costs
+O(log p^k).  psi_table walks r = 2, 3, ... and keeps the psi of each prime
+power it meets for the rest of the walk, so every prime power is descended
+once per table.  The residue scan, psi_scan, is kept as the fallback for
+moduli that zmod.factor cannot factor within its budget, and as the oracle
+of the tests.
 """
 
 from __future__ import annotations
@@ -35,42 +39,54 @@ class PsiValue:
 
 
 def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
-    """First q with r | u_{q-1}, by the order algorithm on the factors of r.
+    """First q with r | u_{q-1}: the lcm of psi(p^k) over the p^k exactly dividing r.
 
-    Descends (_descend) from the multiple of psi(r) that _psi_multiple
-    builds from the factors of r.  When zmod.factor exceeds its budget,
-    psi_scan answers instead.  Either way a psi above `cap` raises the
-    scan's BudgetExceededError, so the cap bounds the reported psi and the
-    fallback scan alike, and `steps_scanned` is psi, the length of the scan
-    that finds it.
+    Each psi(p^k) comes from _prime_power_psi.  When zmod.factor exceeds its
+    budget, on r or on a prime's bound, psi_scan answers instead.  Either
+    way a psi above `cap` raises the scan's BudgetExceededError, so the cap
+    bounds the reported psi and the fallback scan alike, and `steps_scanned`
+    is psi, the length of the scan that finds it.
     """
     zmod.check_modulus(r)
     try:
-        bound, primes = _psi_multiple(r)
+        q = math.lcm(*(_prime_power_psi(p, k)[0] for p, k in zmod.factor(r).items()))
     except BudgetExceededError:
         return psi_scan(r, cap)
-    q = _descend(r, bound, primes)[0]
     if q > cap:
-        raise BudgetExceededError(f"psi({r}) not found within the scan cap {cap}")
+        raise _over_cap(r, cap)
     return PsiValue(r, q, q)
 
 
-def _psi_multiple(r: int) -> tuple[int, set[int]]:
-    """(B, the primes of B) for a multiple B of psi(r).
+def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> list[tuple[int, int]]:
+    """[(r, psi(r)) for 2 <= r <= max_r], ascending, as psi(r, cap) gives each.
 
-    For each prime power p^k exactly dividing r, psi(p^k) divides
-    psi(p) p^(k-1), and psi(p) divides _order_bound(p); B is the lcm of
-    these bounds times p^(k-1).  BudgetExceededError when zmod.factor cannot
-    factor r or a bound.
+    Each r is factored by trial division with a sieve of small primes, and
+    the psi of each prime power is descended once and kept for the rest of
+    this call.  At the first r whose psi exceeds `cap` the walk stops with
+    the error psi(r, cap) raises there.  The sieve limit doubles as the
+    walk needs it, up to isqrt(max_r), so a walk that stops early never
+    sieves for the end of the range.
     """
-    bound, primes = 1, set()
-    for p, k in zmod.factor(r).items():
-        prime_bound = _order_bound(p)
-        bound = math.lcm(bound, prime_bound * p ** (k - 1))
-        primes.update(zmod.factor(prime_bound))
-        if k > 1:
-            primes.add(p)
-    return bound, primes
+    limit, small_primes = 0, []
+    ranks: dict[tuple[int, int], int] = {}
+    rows = []
+    for r in range(2, max_r + 1):
+        if (limit + 1) ** 2 <= r:
+            limit = min(2 * math.isqrt(r), math.isqrt(max_r))
+            small_primes = zmod.primes_up_to(limit)
+        parts = zmod.least_prime_factors(r, small_primes).items()
+        for part in parts:
+            if part not in ranks:
+                ranks[part] = _prime_power_psi(*part)[0]
+        q = math.lcm(*(ranks[part] for part in parts))
+        if q > cap:
+            raise _over_cap(r, cap)
+        rows.append((r, q))
+    return rows
+
+
+def _over_cap(r: int, cap: int) -> BudgetExceededError:
+    return BudgetExceededError(f"psi({r}) not found within the scan cap {cap}")
 
 
 def psi_scan(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
@@ -83,9 +99,7 @@ def psi_scan(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
     stream = seq.u_mod_stream(r)
     for index, residue in enumerate(stream):
         if index >= cap:
-            raise BudgetExceededError(
-                f"psi({r}) not found within the scan cap {cap}"
-            )
+            raise _over_cap(r, cap)
         if residue == 0:
             return PsiValue(r, index + 1, index + 1)
     raise AssertionError("unreachable")
@@ -127,10 +141,17 @@ def _descend(r: int, bound: int, primes) -> tuple[int, int]:
     return q, tests
 
 
-def _rank_of_apparition(p: int) -> tuple[int, int]:
-    """(psi(p), rank tests made) for a prime p, descending from _order_bound(p)."""
+def _prime_power_psi(p: int, k: int = 1) -> tuple[int, int]:
+    """(psi(p^k), rank tests made) for a prime p.
+
+    Descends from _order_bound(p) p^(k-1), a multiple of psi(p^k), over the
+    primes of _order_bound(p) and, when k > 1, p.
+    """
     bound = _order_bound(p)
-    return _descend(p, bound, zmod.factor(bound))
+    primes = list(zmod.factor(bound))
+    if k > 1 and p not in primes:
+        primes.append(p)
+    return _descend(p**k, bound * p ** (k - 1), primes)
 
 
 def psi_of_prime(p: int) -> PsiValue:
@@ -147,7 +168,7 @@ def psi_of_prime(p: int) -> PsiValue:
     """
     if not zmod.is_prime(p):
         raise ValueError(f"psi_of_prime needs a prime, got {p}")
-    q, tests = _rank_of_apparition(p)
+    q, tests = _prime_power_psi(p)
     return PsiValue(p, q, tests)
 
 

@@ -8,12 +8,13 @@ reference data) and reports one CheckResult per logical check.  The CLI
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mincol, seq, thk, zmod
-from .psi import color_usage_ratio, prime_psi_matches, psi, psi_of_prime
+from .psi import _psi_is_p_plus_1, color_usage_ratio, prime_psi_matches, psi_of_prime, psi_table
 from .config import RunConfig
 
 #: Frozen reference values for psi(r), 2 <= r <= 185, kept verbatim from the
@@ -111,10 +112,12 @@ def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
 # -- suite 2: psi reference table ----------------------------------------------
 
 def suite_psi_table(config: RunConfig) -> list[CheckResult]:
+    # the table psi-table prints, one row per reference cell
+    computed = dict(psi_table(max(PSI_REFERENCE), config.psi_scan_cap))
     failures = []
     for r, published in sorted(PSI_REFERENCE.items()):
         expected = PSI_REFERENCE_ERRATA.get(r, published)
-        actual = psi(r, config.psi_scan_cap).psi
+        actual = computed[r]
         if actual != expected:
             failures.append(f"psi({r}) computed {actual}, reference {expected}")
     return [
@@ -499,16 +502,23 @@ def suite_nonsplit(config: RunConfig) -> list[CheckResult]:
 # -- suite 10: color-usage ratios -------------------------------------------------
 
 def first_usage_primes(count: int) -> list[int]:
-    """First `count` primes p > 7 with psi(p) = p + 1."""
-    limit = 512
+    """First `count` primes p > 7 with psi(p) = p + 1.
+
+    The sieve limit doubles until enough are found; each round tests only
+    the primes above the previous limit, by the certificate of the stats
+    sweep (psi._psi_is_p_plus_1).
+    """
+    if count < 1:
+        raise ValueError("prime count must be positive")
+    out, done, limit = [], 7, 512
     while True:
-        out = []
-        for p in zmod.primes_up_to(limit):
-            if p > 7 and psi_of_prime(p).psi == p + 1:
+        primes = zmod.primes_up_to(limit)
+        for p in primes[bisect.bisect_right(primes, done):]:
+            if _psi_is_p_plus_1(p, primes):
                 out.append(p)
                 if len(out) == count:
                     return out
-        limit *= 2
+        done, limit = limit, 2 * limit
 
 
 def suite_color_usage(config: RunConfig) -> list[CheckResult]:

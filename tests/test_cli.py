@@ -85,6 +85,26 @@ class TestExitCodes:
     def test_csv_rejected_for_verdicts(self, capsys):
         assert run(capsys, "-f", "csv", "mincol", "5", "11")[0] == 1
 
+    def test_csv_rejected_before_computing(self, capsys):
+        # the verdict alone takes seconds and hundreds of MB at this n
+        started = time.perf_counter()
+        code, out, err = run(capsys, "-f", "csv", "mincol", "3000000", "14")
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == "" and "no tabular form" in err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_usage_rejects_nonpositive_count(self, count):
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "turkshead.cli", "usage", count],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "turkshead: error: prime count must be positive\n"
+
     def test_budget_exceeded_exit_2(self, capsys):
         code, _, err = run(capsys, "--psi-cap", "100", "psi", "150")
         assert code == 2 and "budget" in err

@@ -91,6 +91,29 @@ class TestOrderRoute:
         # psi(150) = 300 and psi(13) = 14: a psi equal to the cap is returned
         assert outcome(psi.psi, r, cap) == outcome(psi.psi_scan, r, cap)
 
+    def test_table_agrees_with_scan_for_every_modulus_to_4000(self):
+        assert psi.psi_table(4000) == [(r, psi.psi_scan(r).psi) for r in range(2, 4001)]
+
+    @pytest.mark.parametrize("cap", [2, 3, 4, 10, 100, 299, 300, 1000, 8000])
+    def test_table_raises_exactly_when_the_loop_does(self, cap):
+        # the table stops at the first r whose psi exceeds the cap, with the
+        # error psi(r, cap) raises there
+        def loop(max_r, cap):
+            return [(r, psi.psi(r, cap).psi) for r in range(2, max_r + 1)]
+
+        assert outcome(psi.psi_table, 4000, cap) == outcome(loop, 4000, cap)
+
+    def test_table_sieves_only_as_far_as_it_walks(self):
+        # psi(625) = 1250 stops the walk; a sieve to isqrt(10^30) would
+        # pass the sieve ceiling before the walk began
+        with pytest.raises(BudgetExceededError, match=r"^psi\(625\) not found within the scan cap 1000$"):
+            psi.psi_table(10**30, 1000)
+
+    def test_table_descends_each_prime_power_once(self, monkeypatch):
+        # 589 prime powers below 4000 take 2,224 rank tests; one descent
+        # per modulus takes 18,486
+        assert count_u_mod_calls(monkeypatch, psi.psi_table, 4000) <= 2400
+
 
 class TestPsiOfPrime:
     def test_agrees_with_scan_for_all_primes_to_500(self):
@@ -253,7 +276,7 @@ class TestPrimeStats:
             psi.prime_psi_stats(0)
 
 
-def count_u_mod_calls(monkeypatch, count):
+def count_u_mod_calls(monkeypatch, run, *args):
     calls = []
     u_mod = seq.u_mod
 
@@ -262,7 +285,7 @@ def count_u_mod_calls(monkeypatch, count):
         return u_mod(n, r)
 
     monkeypatch.setattr(seq, "u_mod", counted)
-    psi.prime_psi_matches(count)
+    run(*args)
     return len(calls)
 
 
@@ -274,12 +297,13 @@ class TestPrimeSweepCertificate:
 
     def test_rank_tests_in_the_paper_sweep(self, monkeypatch):
         # descending to psi(p) for every prime takes 42,108 calls
-        assert count_u_mod_calls(monkeypatch, 10000) <= 24200
+        assert count_u_mod_calls(monkeypatch, psi.prime_psi_matches, 10000) <= 24200
 
     def test_plus_one_sign_costs_only_the_bound_check(self, monkeypatch):
         # 11 is the fifth prime and 5 = 4^2 mod 11, so its bound is 5
         assert pow(5, 5, 11) == 1
-        assert count_u_mod_calls(monkeypatch, 5) - count_u_mod_calls(monkeypatch, 4) == 1
+        sweep = psi.prime_psi_matches
+        assert count_u_mod_calls(monkeypatch, sweep, 5) - count_u_mod_calls(monkeypatch, sweep, 4) == 1
 
     def test_bound_check_is_kept(self, monkeypatch):
         # 7 does not divide u_6 (psi(7) = 8), so a bound of 7 must be refuted

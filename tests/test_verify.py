@@ -1,4 +1,4 @@
-from turkshead import verify
+from turkshead import psi, verify, zmod
 from turkshead.config import RunConfig
 from turkshead.psi import color_usage_ratio
 
@@ -24,3 +24,16 @@ class TestPrimeStats:
         assert full.passed and full.detail.startswith(
             "odd primes: matched 3969 vs reference 3969; all primes: matched 3970/10000"
         )
+
+
+class TestPsiTable:
+    def test_single_value_route_reproduces_the_reference(self):
+        # the suite checks psi_table; psi(r) answers `turkshead psi r`
+        for r, published in verify.PSI_REFERENCE.items():
+            assert psi.psi(r).psi == verify.PSI_REFERENCE_ERRATA.get(r, published), r
+
+
+class TestUsagePrimes:
+    def test_first_200_match_the_scan(self):
+        primes = [p for p in zmod.primes_up_to(5000) if p > 7 and psi.psi_scan(p).psi == p + 1]
+        assert verify.first_usage_primes(200) == primes[:200]
