@@ -18,7 +18,7 @@ import time
 
 from . import mincol, thk, verify, zmod
 from .config import BudgetExceededError, RunConfig, config_from_env
-from .psi import color_usage_ratio, prime_psi_stats, psi, psi_table
+from .psi import color_usage_ratio, first_usage_primes, prime_psi_stats, psi, psi_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,7 +208,7 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 
 def cmd_usage(args, config: RunConfig) -> int:
-    primes = verify.first_usage_primes(args.prime_count)
+    primes = first_usage_primes(args.prime_count)
     rows = [(p, color_usage_ratio(p)) for p in primes]
     if config.output_format == "json":
         _emit_json(

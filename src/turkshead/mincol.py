@@ -63,22 +63,7 @@ def determinant_digits(n: int) -> int:
     return math.floor(2 * n * math.log10((1 + math.sqrt(5)) / 2)) + 1
 
 
-def has_nontrivial(n: int, r: int) -> bool:
-    """Whether THK(3, n) admits a nontrivial r-coloring."""
-    if n < 1:
-        raise ValueError("diagram needs at least one block")
-    check_modulus(r)
-    gu, g5 = thk._reduced_system_params(n, r)
-    return gu * g5 > 1
-
-
 # -- classification by the least common prime ---------------------------------
-
-@dataclass(frozen=True)
-class SaitoClass:
-    r: int
-    least_common_prime: int
-
 
 def _common_primes(gu: int, g5: int) -> list[int]:
     """Primes dividing both r and det THK(3, n), ascending, from
@@ -104,52 +89,18 @@ def _constraint(lcp: int) -> tuple[str, int]:
     return "lower", 5
 
 
-def least_common_prime(n: int, r: int) -> int:
-    """Least prime dividing both r and det THK(3, n); 1 when coprime."""
-    primes = _common_primes(*thk._reduced_system_params(n, r))
-    return primes[0] if primes else 1
-
-
-def saito_classify(n: int, r: int) -> tuple[SaitoClass, tuple[str, int]]:
-    """Classify mincol via the least common prime of r and the determinant.
-
-    For a non-split link with nonzero determinant: a least common prime of
-    2 or 3 forces that exact minimum, 5 or 7 forces exactly 4, and anything
-    larger forces a lower bound of 5.  Returns the class together with the
-    implied constraint, ('exact', k) or ('lower', 5).
-    """
-    if n < 1:
-        raise ValueError("diagram needs at least one block")
-    check_modulus(r)
-    primes = _common_primes(*thk._reduced_system_params(n, r))
-    if not primes:
-        raise ValueError(
-            f"THK(3, {n}) mod {r} has only trivial colorings; nothing to classify"
-        )
-    return SaitoClass(r, primes[0]), _constraint(primes[0])
-
-
 # -- explicit constructions ----------------------------------------------------
 
-def construct_odd_psi(p: int) -> Coloring:
-    """Coloring of THK(3, psi(p)) mod p using at most psi(p) colors (odd psi).
+def _odd_psi_coloring(p: int, q: int) -> Coloring:
+    """construct(p) for a prime p > 5 whose psi q is odd.
 
     Solves the 2x2 kernel system that forces the right strand sequence to be
-    a circular shift of the left one: with q = psi(p) and k = (q - 1) / 2
-    the matrix [[u_{2k+1}+1, -u_{2k-1}-1], [u_{2k-1}+1, -u_{2k-3}-2]] has
-    determinant -u_{q-1} == 0 mod p, its kernel vectors have distinct
-    coordinates, and normalizing one to difference 1 yields the middle
-    input color s so that (1, s, 0) closes with the shift property.
+    a circular shift of the left one: with k = (q - 1) / 2 the matrix
+    [[u_{2k+1}+1, -u_{2k-1}-1], [u_{2k-1}+1, -u_{2k-3}-2]] has determinant
+    -u_{q-1} == 0 mod p, its kernel vectors have distinct coordinates, and
+    normalizing one to difference 1 yields the middle input color s so that
+    (1, s, 0) closes with the shift property.  Uses at most q colors.
     """
-    if not zmod.is_prime(p) or p <= 5:
-        raise ValueError(f"need a prime greater than 5, got {p}")
-    return _odd_psi_coloring(p, _prime_power_psi(p)[0])
-
-
-def _odd_psi_coloring(p: int, q: int) -> Coloring:
-    """construct_odd_psi(p) for a prime p > 5 whose psi q is already known."""
-    if q % 2 == 0:
-        raise ValueError(f"psi({p}) = {q} is even; use the even construction")
     m00 = (seq.u_mod(q, p) + 1) % p
     m01 = (-seq.u_mod(q - 2, p) - 1) % p
     m10 = (seq.u_mod(q - 2, p) + 1) % p
@@ -180,22 +131,13 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     return col
 
 
-def construct_even_psi(p: int) -> Coloring:
-    """Coloring of THK(3, psi(p)) mod p from input (0, 1, 0) (even psi).
-
-    Uses at most psi(p) - 1 colors when 4 | psi(p) and psi(p) - 5 otherwise;
-    the trace folds back on itself, which also fixes a handful of boundary
-    colors that are asserted here.
-    """
-    if not zmod.is_prime(p) or p <= 5:
-        raise ValueError(f"need a prime greater than 5, got {p}")
-    return _even_psi_coloring(p, _prime_power_psi(p)[0])
-
-
 def _even_psi_coloring(p: int, q: int) -> Coloring:
-    """construct_even_psi(p) for a prime p > 5 whose psi q is already known."""
-    if q % 2 == 1:
-        raise ValueError(f"psi({p}) = {q} is odd; use the odd construction")
+    """construct(p) for a prime p > 5 whose psi q is even: input (0, 1, 0).
+
+    Uses at most q - 1 colors when 4 | q and q - 5 otherwise; the trace
+    folds back on itself, which also fixes a handful of boundary colors
+    that are asserted here.
+    """
     col = Coloring.from_input(q, p, (0, 1, 0))
     if col.is_trivial:
         raise AssertionError(f"probe input degenerated to trivial at p = {p}")
@@ -223,12 +165,17 @@ def _even_psi_coloring(p: int, q: int) -> Coloring:
 def construct(p: int) -> Coloring:
     """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5.
 
-    Dispatches on the parity of psi(p) to construct_odd_psi or
-    construct_even_psi; psi_of_prime makes the one primality test.
+    Odd psi(p) takes the kernel construction, even psi(p) the probe
+    (0, 1, 0); either way col.n is psi(p).  p <= 5 is refused before any
+    work, and psi_of_prime makes the one primality test.
     """
-    q = psi_of_prime(p).psi
+    refusal = f"need a prime greater than 5, got {p}"
     if p <= 5:
-        raise ValueError(f"need a prime greater than 5, got {p}")
+        raise ValueError(refusal)
+    try:
+        q = psi_of_prime(p).psi
+    except ValueError:  # p is not prime
+        raise ValueError(refusal) from None
     return _construction(p, q)
 
 

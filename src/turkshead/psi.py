@@ -21,6 +21,7 @@ of the tests.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,6 +238,26 @@ def prime_psi_stats(count: int) -> PrimeStats:
     """
     matched = sum(prime_psi_matches(count))
     return PrimeStats(count, matched, Fraction(matched, count))
+
+
+def first_usage_primes(count: int) -> list[int]:
+    """First `count` primes p > 7 with psi(p) = p + 1.
+
+    The sieve limit doubles until enough are found; each round tests only
+    the primes above the previous limit, by the certificate of the stats
+    sweep (_psi_is_p_plus_1).
+    """
+    if count < 1:
+        raise ValueError("prime count must be positive")
+    out, done, limit = [], 7, 512
+    while True:
+        primes = zmod.primes_up_to(limit)
+        for p in primes[bisect.bisect_right(primes, done):]:
+            if _psi_is_p_plus_1(p, primes):
+                out.append(p)
+                if len(out) == count:
+                    return out
+        done, limit = limit, 2 * limit
 
 
 def color_usage_ratio(p: int) -> Fraction:

@@ -17,7 +17,11 @@ onward, and indices below -3 are rejected.
 One Fibonacci fast-doubling core serves exact and modular terms alike:
 `u`/`v` run it over the plain integers, `u_mod`/`v_mod` mod r, each in
 O(log |n|) steps and with no cache of earlier terms.  The recurrence itself
-drives only `u_mod_stream`, the O(1)-state residue stream.
+drives only `u_mod_stream`, the O(1)-state residue stream.  `binet_u`
+evaluates the four-term closed form in floating point, as a cross-check
+only.  The identities u and v satisfy (reflection, sums, products, the u/v
+factorization of block powers) are checked in one place, the `identities`
+suite of turkshead.verify.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def u_mod_stream(r: int) -> Iterator[int]:
         w0, w1, w2, w3 = w1, w2, w3, (3 * w2 - w0) % r
 
 
-# -- closed form and identity checks -----------------------------------------
+# -- closed form --------------------------------------------------------------
 
 _BINET_MAX_INDEX = 60
 
@@ -121,58 +125,3 @@ def binet_u(n: int) -> float:
     psi = (1.0 - s5) / 2.0
     psi_neg = (-1.0 - s5) / 2.0
     return (phi ** (n + 2) - phi_inv**n - psi ** (n + 2) + psi_neg**n) / s5
-
-
-def check_sum_identity(n: int) -> bool:
-    """u_{2n} = u_{2n+1} + u_{2n-1} and 5*u_{2n+1} = u_{2n+2} + u_{2n}, exactly."""
-    first = u(2 * n) == u(2 * n + 1) + u(2 * n - 1)
-    total = u(2 * n + 2) + u(2 * n)
-    second = total % 5 == 0 and u(2 * n + 1) == total // 5
-    return first and second
-
-
-def check_product_identity(m: int, n: int) -> bool | None:
-    """Check the index-addition product identities at (m, n).
-
-    Case one applies when m is even or n is odd:
-        u_{m+n} = u_{m+1} u_n - u_{m-1} u_{n-2}
-    Case two applies when m is even and n is odd:
-        u_{m+n} = u_m u_n - u_{m-1} u_{n-1}
-
-    Returns None when neither case applies (m odd, n even), else whether all
-    applicable cases hold exactly.
-    """
-    case_one = m % 2 == 0 or n % 2 == 1
-    case_two = m % 2 == 0 and n % 2 == 1
-    if not case_one and not case_two:
-        return None
-    ok = True
-    if case_one:
-        ok = ok and u(m + n) == u(m + 1) * u(n) - u(m - 1) * u(n - 2)
-    if case_two:
-        ok = ok and u(m + n) == u(m) * u(n) - u(m - 1) * u(n - 1)
-    return ok
-
-
-def check_uv_factorization(n: int) -> bool:
-    """Verify the u/v factorization of block-power entries at n >= 0.
-
-    The leading entries a_n, b_n of the n-fold product of the one-block
-    transfer matrix (computed by plain repeated multiplication, independent
-    of any closed form) must satisfy
-
-        a_n = u_n v_n          a_n - 1 = u_{n-1} v_{n+1}
-        b_n = u_{n-2} u_{n-1}  b_n - 1 = u_n u_{n-3}
-    """
-    if n < 0:
-        raise ValueError(f"factorization check needs n >= 0, got {n}")
-    from .thk import c_power_iterated
-
-    power = c_power_iterated(n)
-    a_n, b_n = power[0][0], power[0][1]
-    return (
-        a_n == u(n) * v(n)
-        and a_n - 1 == u(n - 1) * v(n + 1)
-        and b_n == u(n - 2) * u(n - 1)
-        and b_n - 1 == u(n) * u(n - 3)
-    )

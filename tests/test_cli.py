@@ -1,4 +1,6 @@
+import doctest
 import json
+import re
 import subprocess
 import sys
 import time
@@ -131,7 +133,10 @@ class TestExitCodes:
             assert code == 2 and out == "" and "sieve ceiling" in err
 
     def test_construct_rejects_composite(self, capsys):
-        assert run(capsys, "construct", "9")[0] == 1
+        for p in ("1", "4", "9"):
+            code, out, err = run(capsys, "construct", p)
+            assert code == 1 and out == ""
+            assert err == f"turkshead: error: need a prime greater than 5, got {p}\n"
 
     def test_psi_cap_bounds_residue_scans_only(self, capsys):
         # stats takes the prime route, which scans no residues
@@ -162,6 +167,18 @@ class TestPublicNames:
         namespace: dict = {}
         exec("from turkshead import *", namespace)
         assert set(turkshead.__all__) <= set(namespace)
+
+    def test_readme_quick_tour_runs(self):
+        # the python block of README.md runs as a doctest, and the package
+        # root exports exactly the names it imports from turkshead
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        tour = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        test = doctest.DocTestParser().get_doctest(tour, {}, "README quick tour", str(readme), 0)
+        report: list[str] = []
+        results = doctest.DocTestRunner().run(test, out=report.append)
+        assert results.attempted > 0 and results.failed == 0, "".join(report)
+        (imported,) = re.findall(r"^>>> from turkshead import (.+)$", tour, re.M)
+        assert sorted(imported.split(", ")) == sorted(turkshead.__all__)
 
 
 class TestEnvironmentOverrides:

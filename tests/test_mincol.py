@@ -29,12 +29,6 @@ class TestCountColorings:
 
 
 class TestDeterminant:
-    def test_values(self):
-        assert [mincol.determinant(n).value for n in (1, 2, 3, 4)] == [1, 5, 16, 45]
-
-    def test_never_zero(self):
-        assert all(mincol.determinant(n).value != 0 for n in range(1, 201))
-
     def test_parity_structure(self):
         for n in range(1, 60):
             um = seq.u(n - 1)
@@ -48,51 +42,42 @@ class TestDeterminant:
             assert 10 ** (digits - 1) <= value < 10**digits
 
 
+def common_primes(n, r):
+    return mincol._common_primes(*thk._reduced_system_params(n, r))
+
+
 class TestHasNontrivial:
     def test_examples(self):
-        assert mincol.has_nontrivial(2, 5)          # even n with 5 | r
-        assert not any(mincol.has_nontrivial(1, r) for r in range(2, 40))
-        assert not mincol.has_nontrivial(5, 7)      # gcd(11, 7) = 1
+        assert common_primes(2, 5) == [5]          # even n with 5 | r
+        assert not any(common_primes(1, r) for r in range(2, 40))
+        assert common_primes(5, 7) == []           # gcd(11, 7) = 1
 
     def test_equivalent_to_count_excess(self):
         for n in range(1, 31):
             for r in range(2, 51):
-                assert mincol.has_nontrivial(n, r) == (mincol.count_colorings(n, r) > r)
+                trivial_only = mincol.count_colorings(n, r) == r
+                assert (common_primes(n, r) == []) == trivial_only, (n, r)
+                assert (mincol.mincol_exact(n, r).kind == "only-trivial") == trivial_only, (n, r)
 
 
-class TestSaitoClassification:
-    def test_exact_two(self):
-        cls, constraint = mincol.saito_classify(3, 2)
-        assert cls.least_common_prime == 2
-        assert constraint == ("exact", 2)
+class TestClassification:
+    @pytest.mark.parametrize(
+        "n, r, least, constraint",
+        [
+            (3, 2, 2, ("exact", 2)),
+            (2, 5, 5, ("exact", 4)),
+            (8, 7, 7, ("exact", 4)),
+            (5, 11, 11, ("lower", 5)),
+        ],
+    )
+    def test_least_prime_fixes_the_constraint(self, n, r, least, constraint):
+        assert common_primes(n, r)[0] == least
+        assert mincol._constraint(least) == constraint
+        assert f"classification-lcpf-{least}" in mincol.mincol_exact(n, r).provenance
 
-    def test_exact_four_via_five(self):
-        cls, constraint = mincol.saito_classify(2, 5)
-        assert cls.least_common_prime == 5
-        assert constraint == ("exact", 4)
-
-    def test_exact_four_via_seven(self):
-        cls, constraint = mincol.saito_classify(8, 7)
-        assert cls.least_common_prime == 7 and constraint == ("exact", 4)
-
-    def test_lower_bound_five(self):
-        cls, constraint = mincol.saito_classify(5, 11)
-        assert cls.least_common_prime == 11
-        assert constraint == ("lower", 5)
-
-    def test_coprime_rejected(self):
-        with pytest.raises(ValueError, match="only trivial"):
-            mincol.saito_classify(5, 7)
-
-    def test_least_common_prime_values(self):
-        assert mincol.least_common_prime(3, 2) == 2
-        assert mincol.least_common_prime(4, 3) == 3
-        assert mincol.least_common_prime(85, 143) == 11
-        assert mincol.least_common_prime(5, 7) == 1
-
-
-def common_primes(n, r):
-    return mincol._common_primes(*thk._reduced_system_params(n, r))
+    def test_least_prime_values(self):
+        cases = [(3, 2), (4, 3), (85, 143), (5, 7)]
+        assert [common_primes(n, r)[:1] for n, r in cases] == [[2], [3], [11], []]
 
 
 class TestCommonPrimes:
@@ -131,35 +116,35 @@ class TestCommonPrimes:
 
 class TestOddConstruction:
     def test_p11_matches_pinned_example(self):
-        col = mincol.construct_odd_psi(11)
+        col = mincol.construct(11)
+        assert col.n == 5
         assert col.input_triple == (1, 7, 0)
         assert col.colors_used == [0, 1, 2, 4, 7]
 
     def test_p29_within_bound(self):
-        col = mincol.construct_odd_psi(29)
+        col = mincol.construct(29)
         assert col.n == 7 and thk.distinct_colors(col) <= 7
 
     def test_p19_valid(self):
-        col = mincol.construct_odd_psi(19)
+        col = mincol.construct(19)
         assert col.n == 9 and col.validate() and thk.distinct_colors(col) <= 9
 
     def test_rotation_property(self):
         for p in (11, 19, 29, 31):
-            col = mincol.construct_odd_psi(p)
+            col = mincol.construct(p)
+            assert col.n % 2 == 1
             assert thk.is_circular_shift(col.x_sequence, col.z_sequence)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            mincol.construct_odd_psi(7)    # psi(7) = 8 is even
-        with pytest.raises(ValueError):
-            mincol.construct_odd_psi(5)
-        with pytest.raises(ValueError):
-            mincol.construct_odd_psi(9)
+        for p in (1, 4, 9):  # not prime
+            with pytest.raises(ValueError, match=f"^need a prime greater than 5, got {p}$"):
+                mincol.construct(p)
 
 
 class TestEvenConstruction:
     def test_p7_matches_pinned_trace(self):
-        col = mincol.construct_even_psi(7)
+        col = mincol.construct(7)
+        assert col.n == 8
         assert col.trace == (
             (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
             (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
@@ -167,14 +152,14 @@ class TestEvenConstruction:
         assert thk.distinct_colors(col) == 7
 
     def test_p13_within_bound(self):
-        col = mincol.construct_even_psi(13)
+        col = mincol.construct(13)
         assert col.n == 14 and thk.distinct_colors(col) <= 9
 
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            mincol.construct_even_psi(3)
-        with pytest.raises(ValueError):
-            mincol.construct_even_psi(11)  # psi(11) = 5 is odd
+    def test_guards(self, monkeypatch):
+        monkeypatch.setattr(mincol, "psi_of_prime", lambda p: pytest.fail(f"psi({p}) computed"))
+        for p in (2, 3, 5):  # prime, but too small: refused before any work
+            with pytest.raises(ValueError, match=f"^need a prime greater than 5, got {p}$"):
+                mincol.construct(p)
 
 
 class TestConstructionWork:
@@ -200,11 +185,9 @@ class TestConstructionWork:
         mincol.construct(p)
         assert counts == {"psi_of_prime": 1, "is_prime": 1}
 
-    @pytest.mark.parametrize(
-        "build, p",
-        [(mincol.construct_odd_psi, 29), (mincol.construct_even_psi, 13), (mincol.estimate, 29)],
-    )
+    @pytest.mark.parametrize("build, p", [(mincol.estimate, 29), (mincol.estimate, 13)])
     def test_public_constructions_test_primality_once(self, counts, build, p):
+        # construct itself is counted above; estimate builds the same coloring
         build(p)
         assert counts["is_prime"] == 1
 

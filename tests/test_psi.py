@@ -330,3 +330,9 @@ class TestColorUsage:
             psi.color_usage_ratio(11)      # psi(11) = 5 != 12
         with pytest.raises(ValueError):
             psi.color_usage_ratio(15)      # not prime
+
+
+class TestUsagePrimes:
+    def test_first_200_match_the_scan(self):
+        primes = [p for p in zmod.primes_up_to(5000) if p > 7 and psi.psi_scan(p).psi == p + 1]
+        assert psi.first_usage_primes(200) == primes[:200]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from turkshead import seq
 
@@ -25,18 +25,9 @@ class TestExactValues:
                 values.append(3 * values[-2] - values[-4])
             assert [term(n) for n in range(-3, 3001)] == values
 
-    @given(st.integers(-300, 300))
-    def test_reflection(self, n):
-        assert seq.u(n) == -seq.u(-n - 2)
-
     def test_v_rejects_below_seeds(self):
         with pytest.raises(ValueError):
             seq.v(-4)
-
-    def test_monotone_growth(self):
-        for n in range(3, 201):
-            assert seq.u(n) > 0
-            assert seq.u(n) > seq.u(n - 2)
 
 
 class TestModular:
@@ -70,22 +61,11 @@ class TestModular:
         values = [next(stream) for _ in range(5)]
         assert values[4] == 0 and 0 not in values[:4]
 
-    def test_stream_agrees_with_exact(self):
-        for r in (2, 3, 7, 50):
-            stream = seq.u_mod_stream(r)
-            for n in range(200):
-                assert next(stream) == seq.u(n) % r
-
 
 class TestBinet:
     @pytest.mark.parametrize("n, expected, tol", [(0, 1.0, 1e-9), (2, 4.0, 1e-9), (9, 55.0, 1e-7)])
     def test_examples(self, n, expected, tol):
         assert seq.binet_u(n) == pytest.approx(expected, abs=tol)
-
-    def test_agrees_with_exact_across_range(self):
-        for n in range(0, 61):
-            tol = 1e-9 if n <= 40 else 1e-7
-            assert abs(seq.binet_u(n) - seq.u(n)) <= tol * max(1, abs(seq.u(n)))
 
     def test_negative_indices(self):
         for n in range(-20, 0):
@@ -94,42 +74,3 @@ class TestBinet:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             seq.binet_u(61)
-
-
-class TestIdentities:
-    @pytest.mark.parametrize("n", [1, 0, -1])
-    def test_sum_identity_examples(self, n):
-        assert seq.check_sum_identity(n)
-
-    def test_sum_identity_range(self):
-        assert all(seq.check_sum_identity(n) for n in range(-15, 31))
-
-    def test_division_by_five_is_exact(self):
-        for n in range(0, 31):
-            assert (seq.u(2 * n + 2) + seq.u(2 * n)) % 5 == 0
-
-    @pytest.mark.parametrize("m, n", [(2, 3), (2, 1), (0, 0)])
-    def test_product_identity_examples(self, m, n):
-        assert seq.check_product_identity(m, n) is True
-
-    def test_product_identity_guard(self):
-        # m odd with n even falls outside both cases
-        assert seq.check_product_identity(1, 2) is None
-
-    @settings(max_examples=200)
-    @given(st.integers(-30, 30), st.integers(-30, 30))
-    def test_product_identity_range(self, m, n):
-        assert seq.check_product_identity(m, n) is not False
-
-    def test_uv_factorization(self):
-        assert all(seq.check_uv_factorization(n) for n in range(0, 61))
-
-    def test_uv_factorization_examples(self):
-        # a_3 = 9 = u_3 v_3, b_2 = 1 = u_0 u_1, a_0 = 1 = u_0 v_0
-        assert seq.u(3) * seq.v(3) == 9
-        assert seq.u(0) * seq.u(1) == 1
-        assert seq.u(0) * seq.v(0) == 1
-
-    def test_uv_factorization_rejects_negative(self):
-        with pytest.raises(ValueError):
-            seq.check_uv_factorization(-1)

@@ -1,4 +1,4 @@
-from turkshead import psi, verify, zmod
+from turkshead import psi, verify
 from turkshead.config import RunConfig
 from turkshead.psi import color_usage_ratio
 
@@ -9,7 +9,7 @@ class TestColorUsage:
         # the window, 6 are shown and 13 more are counted
         lo, hi = verify.USAGE_WINDOW
         outside = [
-            p for p in verify.first_usage_primes(25) if not lo <= color_usage_ratio(p) <= hi
+            p for p in psi.first_usage_primes(25) if not lo <= color_usage_ratio(p) <= hi
         ]
         (result,) = verify.suite_color_usage(RunConfig())
         assert len(outside) == 19 and not result.passed
@@ -32,8 +32,3 @@ class TestPsiTable:
         for r, published in verify.PSI_REFERENCE.items():
             assert psi.psi(r).psi == verify.PSI_REFERENCE_ERRATA.get(r, published), r
 
-
-class TestUsagePrimes:
-    def test_first_200_match_the_scan(self):
-        primes = [p for p in zmod.primes_up_to(5000) if p > 7 and psi.psi_scan(p).psi == p + 1]
-        assert verify.first_usage_primes(200) == primes[:200]
