@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
 
-from . import mincol, thk, verify, zmod
+from . import mincol, verify, zmod
 from .config import BudgetExceededError, RunConfig, config_from_env
-from .psi import color_usage_ratio, first_usage_primes, prime_psi_stats, psi, psi_table
+from .psi import _usage_ratio, first_usage_primes, prime_psi_stats, psi, psi_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[], help="number of r-colorings of THK(3, n)")
+    p = sub.add_parser("count", help="number of r-colorings of THK(3, n)")
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
 
@@ -208,8 +207,9 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 
 def cmd_usage(args, config: RunConfig) -> int:
-    primes = first_usage_primes(args.prime_count)
-    rows = [(p, color_usage_ratio(p)) for p in primes]
+    # first_usage_primes certifies each prime and psi(p) = p + 1, so the
+    # ratios skip color_usage_ratio's re-proof of both
+    rows = [(p, _usage_ratio(p)) for p in first_usage_primes(args.prime_count)]
     if config.output_format == "json":
         _emit_json(
             {

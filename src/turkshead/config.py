@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_BRUTE_FORCE_BUDGET = 10**6   # max triples an exhaustive scan may visit
 DEFAULT_PSI_SCAN_CAP = 10**7         # max residues a psi residue scan may examine
@@ -20,19 +20,22 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-@dataclass
-class RunConfig:
-    brute_force_budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-    psi_scan_cap: int = DEFAULT_PSI_SCAN_CAP
-    output_format: str = "plain"
+class RunConfig(namedtuple("RunConfig", "brute_force_budget psi_scan_cap output_format")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.brute_force_budget <= 0:
+    def __new__(
+        cls,
+        brute_force_budget: int = DEFAULT_BRUTE_FORCE_BUDGET,
+        psi_scan_cap: int = DEFAULT_PSI_SCAN_CAP,
+        output_format: str = "plain",
+    ) -> "RunConfig":
+        if brute_force_budget <= 0:
             raise ValueError("brute_force_budget must be positive")
-        if self.psi_scan_cap <= 0:
+        if psi_scan_cap <= 0:
             raise ValueError("psi_scan_cap must be positive")
-        if self.output_format not in OUTPUT_FORMATS:
+        if output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output_format must be one of {OUTPUT_FORMATS}")
+        return super().__new__(cls, brute_force_budget, psi_scan_cap, output_format)
 
 
 def config_from_env(**overrides) -> RunConfig:

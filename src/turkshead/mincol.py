@@ -10,7 +10,7 @@ cover that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import seq, thk, zmod
 from .psi import _prime_power_psi, psi_of_prime
@@ -39,10 +39,8 @@ def count_colorings(n: int, r: int) -> int:
     return r * gu * g5
 
 
-@dataclass(frozen=True)
-class Determinant:
-    n: int
-    value: int
+class Determinant(namedtuple("Determinant", "n value")):
+    __slots__ = ()
 
 
 def determinant(n: int) -> Determinant:
@@ -211,8 +209,9 @@ def _checked_estimate(p: int, col: Coloring) -> int:
 
 # -- verdicts ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MincolVerdict:
+class MincolVerdict(
+    namedtuple("MincolVerdict", "n r kind lower upper witness provenance")
+):
     """Outcome of the minimum-color analysis for THK(3, n) mod r.
 
     kind is 'exact' (lower == upper == the minimum over all diagrams),
@@ -225,13 +224,7 @@ class MincolVerdict:
     all-diagrams minimum at 4.
     """
 
-    n: int
-    r: int
-    kind: str
-    lower: int | None
-    upper: int | None
-    witness: Coloring | None
-    provenance: tuple[str, ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import seq, thk, zmod
 from .config import DEFAULT_PSI_SCAN_CAP, BudgetExceededError
 
-@dataclass(frozen=True)
-class PsiValue:
-    r: int
-    psi: int
-    steps_scanned: int
+class PsiValue(namedtuple("PsiValue", "r psi steps_scanned")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "psi": self.psi, "steps_scanned": self.steps_scanned}
@@ -175,11 +172,8 @@ def psi_of_prime(p: int) -> PsiValue:
 
 # -- prime statistics ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeStats:
-    prime_count: int
-    matched: int
-    ratio: Fraction
+class PrimeStats(namedtuple("PrimeStats", "prime_count matched ratio")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,8 +266,17 @@ def color_usage_ratio(p: int) -> Fraction:
     value = psi_of_prime(p).psi
     if value != p + 1:
         raise ValueError(f"psi({p}) = {value} != {p + 1}; ratio not defined here")
+    return _usage_ratio(p)
+
+
+def _usage_ratio(p: int) -> Fraction:
+    """Color-usage ratio of a prime p > 7 already known to have psi(p) = p + 1.
+
+    color_usage_ratio proves both conditions first; the primes of
+    first_usage_primes come with both proved.
+    """
     palettes = [
-        thk.distinct_colors(thk.Coloring.from_input(value, p, probe))
+        thk.distinct_colors(thk.Coloring.from_input(p + 1, p, probe))
         for probe in ((0, 1, 0), (1, 2, 0))
     ]
     return Fraction(max(palettes), p)

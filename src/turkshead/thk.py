@@ -17,8 +17,8 @@ the middle strand only repeats first-coordinate colors.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import seq
 from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError
@@ -140,8 +140,7 @@ def matrix_entry_b(n: int, r: int | None = None) -> int:
     return seq.u_mod(n - 2, r) * seq.u_mod(n - 1, r) % r
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(namedtuple("TransferMatrix", "n r entries")):
     """The n-th power of the block matrix, stored via its closed form.
 
     Entries are [[a_n, b_n, -b_{n+1}], [a_{n-1}, b_{n-1}, -b_n],
@@ -150,9 +149,7 @@ class TransferMatrix:
     the determinant is 1 for every n.
     """
 
-    n: int
-    r: int | None
-    entries: Matrix
+    __slots__ = ()
 
     def apply(self, t: Triple) -> Triple:
         return _mat_apply(self.entries, t, self.r)
@@ -181,17 +178,14 @@ def is_coloring(n: int, r: int, t: Triple) -> bool:
 
 # -- colorings ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "n r trace")):
     """A closed coloring of the standard diagram of THK(3, n) mod r.
 
     `trace` holds the n+1 strand-color levels; the last level equals the
     first (the braid closure condition).
     """
 
-    n: int
-    r: int
-    trace: tuple[Triple, ...]
+    __slots__ = ()
 
     @classmethod
     def from_input(cls, n: int, r: int, t: Triple) -> "Coloring":

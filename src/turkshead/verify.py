@@ -11,7 +11,7 @@ nowhere else, by the `identities` suite; the unit tests keep only edge cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import mincol, seq, thk, zmod
@@ -68,12 +68,8 @@ PRIME_STATS_REFERENCE_10000 = 3969
 USAGE_WINDOW = (Fraction(69, 100), Fraction(76, 100))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "suite name passed detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import turkshead
-from turkshead import seq
+from turkshead import psi, seq, zmod
 from turkshead.cli import main
 
 
@@ -70,6 +70,20 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "-f", "csv", "usage", "2")
         lines = out.strip().splitlines()
         assert code == 0 and lines[0].startswith("13,") and lines[1].startswith("17,")
+
+    def test_usage_reuses_the_certificates(self, capsys, monkeypatch):
+        # first_usage_primes has proved each prime and psi(p) = p + 1, so
+        # the ratios neither retest primality nor descend to psi again
+        expected = [float(psi.color_usage_ratio(p)) for p in psi.first_usage_primes(25)]
+
+        def refuse(*args):
+            raise AssertionError("usage re-proved a certified prime")
+
+        monkeypatch.setattr(zmod, "is_prime", refuse)
+        monkeypatch.setattr(psi, "_prime_power_psi", refuse)
+        code, out, _ = run(capsys, "-f", "json", "usage", "25")
+        assert code == 0
+        assert [row["ratio"] for row in json.loads(out)["primes"]] == expected
 
     def test_verify_determinants(self, capsys):
         code, out, _ = run(capsys, "verify", "determinants")
@@ -179,6 +193,27 @@ class TestPublicNames:
         assert results.attempted > 0 and results.failed == 0, "".join(report)
         (imported,) = re.findall(r"^>>> from turkshead import (.+)$", tour, re.M)
         assert sorted(imported.split(", ")) == sorted(turkshead.__all__)
+
+
+class TestImportCost:
+    # every CLI call pays for `import turkshead.cli`; these modules cost
+    # milliseconds to import.  -S keeps a site .pth file from loading them
+    # first and hiding them.
+    HEAVY = {"dataclasses", "inspect", "typing", "ast", "dis"}
+
+    def test_import_loads_no_heavy_module(self):
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        child = (
+            f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            "import turkshead.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-E", "-c", child],
+            capture_output=True, text=True, timeout=30, check=True,
+        )
+        added = set(done.stdout.split())
+        assert "turkshead.cli" in added
+        assert not added & self.HEAVY
 
 
 class TestEnvironmentOverrides:
