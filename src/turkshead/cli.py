@@ -5,18 +5,23 @@ output-format flag (`plain` for humans, `json` for structured results, `csv`
 for tables).  Exit codes: 0 success, 1 invalid arguments, 2 work budget
 exceeded, 3 verification failure.  THK_BUDGET, THK_PSI_CAP and THK_FORMAT
 override the defaults; explicit flags win.
+
+Each call pays for its own parser.  When argv is exact global options, each
+with its value, and then a command name, `main` builds that command's
+subparser alone; any other argv, and any parse error, goes through the full
+parser, so help and error text always name every command.  Only the commands
+that need them import `turkshead.verify` and `fractions`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 
-from . import mincol, verify, zmod
-from .config import BudgetExceededError, RunConfig, config_from_env
+from . import mincol, zmod
+from .config import OUTPUT_FORMATS, BudgetExceededError, RunConfig, config_from_env
 from .psi import _usage_ratio, first_usage_primes, prime_psi_stats, psi, psi_table
 
 EXIT_OK = 0
@@ -31,12 +36,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+class _NeedFullParser(Exception):
+    pass
+
+
+class _OneCommandParser(_Parser):
+    # its usage line lists one command, so the full parser tells its errors
+    def error(self, message):
+        raise _NeedFullParser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with `command`'s alone.
+
+    A one-command parser prints help as the full parser does, but raises
+    instead of reporting an error; main then re-parses with the full one.
+    """
+    parser = (_Parser if command is None else _OneCommandParser)(
         prog="turkshead",
         description="Colorings, psi values, and minimum-color verdicts for THK(3, n).",
     )
-    parser.add_argument("--format", "-f", choices=("plain", "json", "csv"), default=None)
+    parser.add_argument("--format", "-f", choices=OUTPUT_FORMATS, default=None)
     parser.add_argument("--budget", type=int, default=None, help="max triples for exhaustive scans")
     parser.add_argument(
         "--psi-cap", type=int, default=None,
@@ -44,36 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         "their fallback scan may visit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="number of r-colorings of THK(3, n)")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-
-    p = sub.add_parser("det", help="knot determinant of THK(3, n)")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("psi", help="least q with r dividing u_{q-1}")
-    p.add_argument("r", type=int)
-
-    p = sub.add_parser("psi-table", help="psi(r) for 2 <= r <= max")
-    p.add_argument("--max", type=int, default=185, dest="max_r")
-
-    p = sub.add_parser("mincol", help="minimum-color verdict for THK(3, n) mod r")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-
-    p = sub.add_parser("construct", help="explicit low-color coloring of THK(3, psi(p))")
-    p.add_argument("p", type=int)
-
-    p = sub.add_parser("stats", help="count primes with psi(p) = p + 1")
-    p.add_argument("prime_count", type=int)
-
-    p = sub.add_parser("usage", help="color-usage ratios over primes with psi(p) = p + 1")
-    p.add_argument("prime_count", type=int)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **(options() if callable(options) else options))
     return parser
 
 
@@ -81,9 +76,10 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload))
 
 
-def _emit_csv(rows: list[tuple], out=None) -> None:
-    writer = csv.writer(out or sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+def _emit_csv(rows: list[tuple]) -> None:
+    import csv
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _no_csv(fmt: str, command: str) -> None:
@@ -230,7 +226,15 @@ def cmd_usage(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _suite_argument() -> dict:
+    from . import verify
+
+    return {"choices": sorted(verify.SUITES) + ["all"]}
+
+
 def cmd_verify(args, config: RunConfig) -> int:
+    from . import verify
+
     _no_csv(config.output_format, "verify")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = []
@@ -258,23 +262,66 @@ def cmd_verify(args, config: RunConfig) -> int:
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
+_INT = {"type": int}
+
+#: name -> (handler, help, arguments), in the order help lists them; each
+#: argument is (name or flag, add_argument options or a function giving them)
 _COMMANDS = {
-    "count": cmd_count,
-    "det": cmd_det,
-    "psi": cmd_psi,
-    "psi-table": cmd_psi_table,
-    "mincol": cmd_mincol,
-    "construct": cmd_construct,
-    "stats": cmd_stats,
-    "usage": cmd_usage,
-    "verify": cmd_verify,
+    "count": (cmd_count, "number of r-colorings of THK(3, n)", (("n", _INT), ("r", _INT))),
+    "det": (cmd_det, "knot determinant of THK(3, n)", (("n", _INT),)),
+    "psi": (cmd_psi, "least q with r dividing u_{q-1}", (("r", _INT),)),
+    "psi-table": (
+        cmd_psi_table, "psi(r) for 2 <= r <= max",
+        (("--max", {"type": int, "default": 185, "dest": "max_r"}),),
+    ),
+    "mincol": (
+        cmd_mincol, "minimum-color verdict for THK(3, n) mod r", (("n", _INT), ("r", _INT)),
+    ),
+    "construct": (cmd_construct, "explicit low-color coloring of THK(3, psi(p))", (("p", _INT),)),
+    "stats": (cmd_stats, "count primes with psi(p) = p + 1", (("prime_count", _INT),)),
+    "usage": (
+        cmd_usage, "color-usage ratios over primes with psi(p) = p + 1",
+        (("prime_count", _INT),),
+    ),
+    "verify": (cmd_verify, "run a named verification suite", (("suite", _suite_argument),)),
 }
+
+_LONG_OPTIONS = ("--format", "--budget", "--psi-cap")
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The command of argv if only exact global options come before it, else None.
+
+    A global option is `-f` or a long option followed by its value, or
+    `--option=value`.  Abbreviations, `-fjson`, help and anything unknown
+    before the command give None, as does argv without a command.
+    """
+    args = iter(argv)
+    for arg in args:
+        if arg in _COMMANDS:
+            return arg
+        if arg in _LONG_OPTIONS or arg == "-f":
+            next(args, None)  # its value
+        elif arg.partition("=")[0] not in _LONG_OPTIONS:
+            return None
+    return None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    command = _named_command(argv)
+    if command is not None:
+        try:
+            return build_parser(command).parse_args(argv)
+        except _NeedFullParser:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse help/usage paths
         return int(exc.code or 0)
     try:
@@ -283,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             psi_scan_cap=args.psi_cap,
             output_format=args.format,
         )
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command][0](args, config)
     except BudgetExceededError as exc:
         print(f"turkshead: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import seq, thk, zmod
 from .config import DEFAULT_PSI_SCAN_CAP, BudgetExceededError
@@ -230,6 +229,8 @@ def prime_psi_stats(count: int) -> PrimeStats:
     p | u_{B-1}, then p | u_p and one rank test per prime l of p + 1
     showing that no proper divisor (p + 1)/l is a zero index.
     """
+    from fractions import Fraction  # deferred: most CLI calls never build a ratio
+
     matched = sum(prime_psi_matches(count))
     return PrimeStats(count, matched, Fraction(matched, count))
 
@@ -275,6 +276,8 @@ def _usage_ratio(p: int) -> Fraction:
     color_usage_ratio proves both conditions first; the primes of
     first_usage_primes come with both proved.
     """
+    from fractions import Fraction
+
     palettes = [
         thk.distinct_colors(thk.Coloring.from_input(p + 1, p, probe))
         for probe in ((0, 1, 0), (1, 2, 0))

@@ -1,3 +1,4 @@
+import argparse
 import doctest
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import turkshead
-from turkshead import psi, seq, zmod
+from turkshead import cli, psi, seq, zmod
 from turkshead.cli import main
 
 
@@ -199,21 +200,83 @@ class TestImportCost:
     # every CLI call pays for `import turkshead.cli`; these modules cost
     # milliseconds to import.  -S keeps a site .pth file from loading them
     # first and hiding them.
-    HEAVY = {"dataclasses", "inspect", "typing", "ast", "dis"}
+    HEAVY = {
+        "dataclasses", "inspect", "typing", "ast", "dis",
+        "fractions", "decimal", "numbers", "csv", "turkshead.verify",
+    }
 
-    def test_import_loads_no_heavy_module(self):
+    @staticmethod
+    def modules_added(code: str) -> set[str]:
         src = str(Path(turkshead.__file__).resolve().parents[1])
         child = (
             f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
-            "import turkshead.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+            f"{code}; print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)"
         )
         done = subprocess.run(
             [sys.executable, "-S", "-E", "-c", child],
             capture_output=True, text=True, timeout=30, check=True,
         )
-        added = set(done.stdout.split())
+        return set(done.stderr.split())
+
+    def test_import_loads_no_heavy_module(self):
+        added = self.modules_added("import turkshead.cli")
         assert "turkshead.cli" in added
         assert not added & self.HEAVY
+
+    def test_light_command_loads_no_ratio_or_verify_module(self):
+        added = self.modules_added("from turkshead.cli import main; main(['-f', 'json', 'psi', '7'])")
+        assert "turkshead.cli" in added
+        assert not added & {"fractions", "turkshead.verify"}
+
+
+class TestOneCommandParser:
+    # main builds only the named command's subparser when argv starts with
+    # exact global options and a command; these must behave exactly as the
+    # full parser does, help and errors included
+    CORPUS = [
+        ["-h"], ["--he"], ["-h", "psi"], ["psi", "-h"], ["verify", "-h"],
+        ["--format=json", "det", "10"], ["-fjson", "det", "10"], ["--form", "json", "det", "10"],
+        ["--budget=-5", "psi", "7"], ["psi", "abc"], ["psi"], ["psi", "1", "2"],
+        ["-f", "xml", "psi", "5"], ["-f", "psi", "5"], ["--budget", "count", "psi", "5"],
+        ["bogus"], ["-f", "json", "5", "psi"], ["psi", "5", "-f", "json"],
+        ["psi-table", "--ma", "20"], ["verify", "nope"], ["--"],
+        ["--psi-cap", "3", "psi", "7"], ["-f", "csv", "stats", "5"], ["mincol", "5", "11"],
+    ]
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_same_output_as_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fast = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_named_command", lambda argv: None)
+        assert run(capsys, *argv) == fast
+
+    def test_holds_only_the_named_command(self):
+        (sub,) = [a for a in cli.build_parser("psi")._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["psi"]
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["-f", "json", "psi", "7"], ["psi"]),
+            (["--budget=9", "--psi-cap", "5", "det", "3"], ["det"]),
+            (["psi", "abc"], ["psi", None]),
+            (["--form", "json", "det", "3"], [None]),
+            (["-h"], [None]),
+        ],
+    )
+    def test_parsers_built(self, argv, built, capsys, monkeypatch):
+        seen = []
+        full = cli.build_parser
+
+        def build(command=None):
+            seen.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        run(capsys, *argv)
+        assert seen == built
 
 
 class TestEnvironmentOverrides:
