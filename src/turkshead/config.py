@@ -13,10 +13,15 @@ ENV_PREFIX = "THK_"
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured work budget (brute-force triples or psi scan cap) was hit.
+    """A work budget or a fixed limit of the program was hit.
 
-    Raised instead of silently truncating; the caller decides whether to retry
-    with a larger budget.
+    The configurable budgets are the brute-force triples and the psi scan
+    cap.  The fixed limits are the sieve ceiling (zmod.SIEVE_CEILING), the
+    factoring budget of zmod.factor, primality above the Miller-Rabin proof
+    bound (about 3.3 * 10^24) in zmod.is_prime, and, in the CLI, an integer
+    with more digits than the interpreter will print.  Raised instead of
+    silently truncating; the caller decides whether to retry with a larger
+    budget.
     """
 
 

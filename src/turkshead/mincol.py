@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import seq, thk, zmod
-from .psi import _prime_power_psi, psi_of_prime
+from .psi import psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import (
     Coloring,
@@ -165,16 +165,11 @@ def construct(p: int) -> Coloring:
 
     Odd psi(p) takes the kernel construction, even psi(p) the probe
     (0, 1, 0); either way col.n is psi(p).  p <= 5 is refused before any
-    work, and psi_of_prime makes the one primality test.
+    work, and one primality test proves p prime before psi_of_prime runs.
     """
-    refusal = f"need a prime greater than 5, got {p}"
-    if p <= 5:
-        raise ValueError(refusal)
-    try:
-        q = psi_of_prime(p).psi
-    except ValueError:  # p is not prime
-        raise ValueError(refusal) from None
-    return _construction(p, q)
+    if p <= 5 or not zmod.is_prime(p):
+        raise ValueError(f"need a prime greater than 5, got {p}")
+    return _construction(p, psi_of_prime(p))
 
 
 def _construction(p: int, q: int) -> Coloring:
@@ -191,7 +186,7 @@ def estimate(p: int) -> int:
     """
     if not zmod.is_prime(p) or p <= 11:
         raise ValueError(f"need a prime greater than 11, got {p}")
-    return _checked_estimate(p, _construction(p, _prime_power_psi(p)[0]))
+    return _checked_estimate(p, _construction(p, psi_of_prime(p)))
 
 
 def _checked_estimate(p: int, col: Coloring) -> int:
@@ -260,7 +255,7 @@ def _construction_prime(primes: list[int]) -> tuple[int, int] | None:
     is 2, 3 or 5.
     """
     return min(
-        ((p, psi_of_prime(p).psi) for p in primes if p > 5),
+        ((p, psi_of_prime(p)) for p in primes if p > 5),
         key=lambda pq: (pq[1], pq[0]),
         default=None,
     )

@@ -10,7 +10,7 @@ psi is a rank of apparition, so it is computed by the order algorithm: the
 indices q with r | u_{q-1} are exactly the multiples of psi(r), so psi(r) is
 the lcm of psi(p^k) over the prime powers p^k exactly dividing r, and
 psi(p^k) divides psi(p) p^(k-1) (Wall 1960; Vinson 1963).  For each prime
-power, _prime_power_psi descends from that multiple, dividing out each prime
+power, psi_of_prime descends from that multiple, dividing out each prime
 while p^k still divides the earlier term; each such rank test costs
 O(log p^k).  psi_table walks r = 2, 3, ... and keeps the psi of each prime
 power it meets for the rest of the walk, so every prime power is descended
@@ -38,7 +38,7 @@ class PsiValue(namedtuple("PsiValue", "r psi steps_scanned")):
 def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
     """First q with r | u_{q-1}: the lcm of psi(p^k) over the p^k exactly dividing r.
 
-    Each psi(p^k) comes from _prime_power_psi.  When zmod.factor exceeds its
+    Each psi(p^k) comes from psi_of_prime.  When zmod.factor exceeds its
     budget, on r or on a prime's bound, psi_scan answers instead.  Either
     way a psi above `cap` raises the scan's BudgetExceededError, so the cap
     bounds the reported psi and the fallback scan alike, and `steps_scanned`
@@ -46,7 +46,7 @@ def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
     """
     zmod.check_modulus(r)
     try:
-        q = math.lcm(*(_prime_power_psi(p, k)[0] for p, k in zmod.factor(r).items()))
+        q = math.lcm(*(psi_of_prime(p, k) for p, k in zmod.factor(r).items()))
     except BudgetExceededError:
         return psi_scan(r, cap)
     if q > cap:
@@ -74,7 +74,7 @@ def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> list[tuple[int, in
         parts = zmod.least_prime_factors(r, small_primes).items()
         for part in parts:
             if part not in ranks:
-                ranks[part] = _prime_power_psi(*part)[0]
+                ranks[part] = psi_of_prime(*part)
         q = math.lcm(*(ranks[part] for part in parts))
         if q > cap:
             raise _over_cap(r, cap)
@@ -119,8 +119,8 @@ def _check_bound(r: int, bound: int) -> None:
         raise AssertionError(f"{r} does not divide u_{bound - 1}")
 
 
-def _descend(r: int, bound: int, primes) -> tuple[int, int]:
-    """(psi(r), rank tests made) from a multiple `bound` of psi(r).
+def _descend(r: int, bound: int, primes) -> int:
+    """psi(r) from a multiple `bound` of psi(r).
 
     r | u_{bound-1} is asserted; since the indices q with r | u_{q-1} are
     exactly the multiples of psi(r), each prime l of bound (from `primes`,
@@ -128,45 +128,26 @@ def _descend(r: int, bound: int, primes) -> tuple[int, int]:
     r | u_{q/l - 1} still holds.
     """
     _check_bound(r, bound)
-    q, tests = bound, 1
+    q = bound
     for ell in primes:
-        while q % ell == 0:
-            tests += 1
-            if seq.u_mod(q // ell - 1, r) != 0:
-                break
+        while q % ell == 0 and seq.u_mod(q // ell - 1, r) == 0:
             q //= ell
-    return q, tests
+    return q
 
 
-def _prime_power_psi(p: int, k: int = 1) -> tuple[int, int]:
-    """(psi(p^k), rank tests made) for a prime p.
+def psi_of_prime(p: int, k: int = 1) -> int:
+    """psi(p^k) for a prime p, by the order algorithm.
 
     Descends from _order_bound(p) p^(k-1), a multiple of psi(p^k), over the
-    primes of _order_bound(p) and, when k > 1, p.
+    primes of _order_bound(p) and, when k > 1, p.  No residues are scanned,
+    so no scan cap applies.  p is not tested for primality: every caller
+    has proved it, by zmod.is_prime, zmod.factor or a sieve.
     """
     bound = _order_bound(p)
     primes = list(zmod.factor(bound))
     if k > 1 and p not in primes:
         primes.append(p)
     return _descend(p**k, bound * p ** (k - 1), primes)
-
-
-def psi_of_prime(p: int) -> PsiValue:
-    """psi at a prime, by the rank-of-apparition order algorithm.
-
-    For an odd prime p != 5, psi(p) divides p + 1 or (p - 1)/2 according to
-    the sign of 5^((p-1)/2) mod p (psi(2) and psi(5) divide 30), and every
-    index q with p | u_{q-1} is a multiple of psi(p) (Wall 1960; Vinson
-    1963).  So starting from that bound, each prime factor is divided out
-    while p still divides the term before the smaller index.  Each rank test
-    costs O(log p) and no residues are scanned, so no scan cap applies; on
-    this route `steps_scanned` counts the rank tests, the check at the bound
-    included.  Agrees with the stream scan everywhere (see tests).
-    """
-    if not zmod.is_prime(p):
-        raise ValueError(f"psi_of_prime needs a prime, got {p}")
-    q, tests = _prime_power_psi(p)
-    return PsiValue(p, q, tests)
 
 
 # -- prime statistics ----------------------------------------------------------
@@ -264,7 +245,7 @@ def color_usage_ratio(p: int) -> Fraction:
     """
     if not zmod.is_prime(p) or p <= 7:
         raise ValueError(f"need a prime greater than 7, got {p}")
-    value = psi_of_prime(p).psi
+    value = psi_of_prime(p)
     if value != p + 1:
         raise ValueError(f"psi({p}) = {value} != {p + 1}; ratio not defined here")
     return _usage_ratio(p)

@@ -47,17 +47,6 @@ def _block_step(t: Triple, r: int | None) -> Triple:
     return ((2 * a - c) % r, a % r, (2 * c - b) % r)
 
 
-def propagate_block(t: Triple, r: int | None = None) -> Triple:
-    """Push colors (a, b, c) through one block: (2a - c, a, 2c - b).
-
-    With r=None the update is over the plain integers (used by exact
-    identity checks); otherwise entries are reduced mod r.
-    """
-    if r is not None:
-        check_modulus(r)
-    return _block_step(t, r)
-
-
 def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
     """Trace of n block steps: n+1 levels starting from t."""
     if n < 0:
@@ -209,11 +198,6 @@ class Coloring(namedtuple("Coloring", "n r trace")):
         return [t[0] for t in self.trace[: self.n]]
 
     @property
-    def y_sequence(self) -> list[int]:
-        """Middle strand colors (the M sequence); a circular shift of L."""
-        return [t[1] for t in self.trace[: self.n]]
-
-    @property
     def z_sequence(self) -> list[int]:
         """Right strand colors over levels 0..n-1 (the R sequence)."""
         return [t[2] for t in self.trace[: self.n]]
@@ -244,15 +228,6 @@ class Coloring(namedtuple("Coloring", "n r trace")):
             "trace": [list(t) for t in self.trace],
             "colors_used": self.colors_used,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Coloring":
-        col = cls(data["n"], data["r"], tuple(tuple(t) for t in data["trace"]))
-        if not col.validate():
-            raise ValueError("serialized coloring fails validation")
-        if data.get("colors_used") not in (None, col.colors_used):
-            raise ValueError("serialized colors_used does not match trace")
-        return col
 
 
 def distinct_colors(coloring: Coloring) -> int:

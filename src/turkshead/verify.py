@@ -149,7 +149,7 @@ def _check_psi_errata() -> CheckResult:
             failures.append(f"psi({r}): no q <= {corrected} has {r} | u_{{q-1}}")
         elif first != corrected:
             failures.append(f"psi({r}): first q with {r} | u_{{q-1}} is {first}, not {corrected}")
-        parts = [p**e for p, e in zmod.least_prime_factors(r).items()]
+        parts = [p**e for p, e in zmod.factor(r).items()]
         combined = math.lcm(*(PSI_REFERENCE[part] for part in parts))
         if combined != corrected:
             failures.append(
@@ -506,12 +506,10 @@ def suite_determinants(config: RunConfig) -> list[CheckResult]:
     for n in range(3, 201):
         if not (seq.u(n) > 0 and seq.u(n) > seq.u(n - 2)):
             failures.append(f"monotonicity broken at n={n}")
-    # the check keeps its name so that verify output stays stable; the float
-    # closed form is checked once, by identities/binet-closed-form
     return [
         _result(
             "determinants",
-            "values-positivity-binet",
+            "values-positivity",
             failures,
             "n in {1..4} pinned; nonzero and monotone to n = 200",
         )

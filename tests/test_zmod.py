@@ -51,8 +51,8 @@ class TestPrimesAndFactors:
     def test_sieve_ceiling(self):
         with pytest.raises(BudgetExceededError, match="9-digit limit"):
             zmod.primes_up_to(zmod.SIEVE_CEILING + 1)
-        # without shared trial divisors nothing is sieved: factor() answers
-        assert zmod.least_prime_factors((zmod.SIEVE_CEILING + 1) ** 2) == {17: 2, 5882353: 2}
+        # factor() sieves nothing for a square above the ceiling that rho splits
+        assert zmod.factor((zmod.SIEVE_CEILING + 1) ** 2) == {17: 2, 5882353: 2}
 
     @given(st.integers(1, 10**60))
     def test_decimal_digits(self, m):
@@ -68,16 +68,16 @@ class TestPrimesAndFactors:
         "m, expected", [(45, {3: 2, 5: 1}), (1331, {11: 3}), (1, {}), (97, {97: 1})]
     )
     def test_factorizations(self, m, expected):
-        assert zmod.least_prime_factors(m) == expected
+        assert zmod.factor(m) == expected
 
     def test_factor_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            zmod.least_prime_factors(0)
+            zmod.factor(0)
 
     @given(st.integers(1, 5000))
     def test_factorization_reassembles(self, m):
         product = 1
-        for p, e in zmod.least_prime_factors(m).items():
+        for p, e in zmod.factor(m).items():
             assert zmod.is_prime(p)
             product *= p**e
         assert product == m
@@ -85,7 +85,7 @@ class TestPrimesAndFactors:
     @given(st.integers(1, 5000))
     def test_shared_trial_divisors_give_the_same_factors(self, m):
         shared = zmod.primes_up_to(70)  # covers isqrt(5000)
-        assert zmod.least_prime_factors(m, shared) == zmod.least_prime_factors(m)
+        assert zmod.least_prime_factors(m, shared) == zmod.factor(m)
 
 
 def is_prime_by_trial_division(n):
