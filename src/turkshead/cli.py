@@ -3,22 +3,26 @@
 Every computation the library offers is exposed as a subcommand, with one
 output-format flag (`plain` for humans, `json` for structured results, `csv`
 for tables).  Exit codes: 0 success, 1 invalid arguments, 2 work budget
-exceeded, 3 verification failure.  THK_BUDGET, THK_PSI_CAP and THK_FORMAT
-override the defaults; explicit flags win.
+exceeded, 3 verification failure, 141 standard output closed by its reader
+(128 + SIGPIPE).  THK_BUDGET, THK_PSI_CAP and THK_FORMAT override the
+defaults; explicit flags win.
 
-Each call pays for its own parser.  When argv is exact global options, each
-with its value, and then a command name, `main` builds that command's
-subparser alone; any other argv, and any parse error, goes through the full
-parser, so help and error text always name every command.  Only the commands
-that need them import `turkshead.verify` and `fractions`.
+The grammar has one home, the tables `_GLOBAL_OPTIONS` and `_COMMANDS`, and
+two readers.  `_parse_exact` reads argv of the exact shapes (global options,
+then a command with its arguments) without argparse.  Any other argv, and
+any argv that would fail to parse, goes to the full parser of
+`build_parser`, the one source of help, usage and error text; only that path
+imports `argparse`.  Only the commands that need them import
+`turkshead.verify` and `fractions`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import mincol, zmod
 from .config import OUTPUT_FORMATS, BudgetExceededError, RunConfig, config_from_env
@@ -28,47 +32,29 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
+EXIT_BROKEN_PIPE = 141
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage by default; 2 is taken by budget errors
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def build_parser():
+    """The argparse parser of the whole CLI, every subcommand included."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on bad usage by default; 2 is taken by budget errors
+        def error(self, message):
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-class _NeedFullParser(Exception):
-    pass
-
-
-class _OneCommandParser(_Parser):
-    # its usage line lists one command, so the full parser tells its errors
-    def error(self, message):
-        raise _NeedFullParser
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with `command`'s alone.
-
-    A one-command parser prints help as the full parser does, but raises
-    instead of reporting an error; main then re-parses with the full one.
-    """
-    parser = (_Parser if command is None else _OneCommandParser)(
+    parser = Parser(
         prog="turkshead",
         description="Colorings, psi values, and minimum-color verdicts for THK(3, n).",
     )
-    parser.add_argument("--format", "-f", choices=OUTPUT_FORMATS, default=None)
-    parser.add_argument("--budget", type=int, default=None, help="max triples for exhaustive scans")
-    parser.add_argument(
-        "--psi-cap", type=int, default=None,
-        help="cap on the psi that psi and psi-table report, and on the residues "
-        "their fallback scan may visit",
-    )
+    for names, options in _GLOBAL_OPTIONS:
+        parser.add_argument(*names.split(), **options)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        _, help_text, arguments = _COMMANDS[name]
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **(options() if callable(options) else options))
+        for names, options in arguments:
+            p.add_argument(*names.split(), **(options() if callable(options) else options))
     return parser
 
 
@@ -264,8 +250,22 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 _INT = {"type": int}
 
-#: name -> (handler, help, arguments), in the order help lists them; each
-#: argument is (name or flag, add_argument options or a function giving them)
+#: each argument is (its names, space-separated, and add_argument options or
+#: a function giving them)
+_GLOBAL_OPTIONS = (
+    ("--format -f", {"choices": OUTPUT_FORMATS, "default": None}),
+    ("--budget", {"type": int, "default": None, "help": "max triples for exhaustive scans"}),
+    (
+        "--psi-cap",
+        {
+            "type": int, "default": None,
+            "help": "cap on the psi that psi and psi-table report, and on the residues "
+            "their fallback scan may visit",
+        },
+    ),
+)
+
+#: name -> (handler, help, arguments), in the order help lists them
 _COMMANDS = {
     "count": (cmd_count, "number of r-colorings of THK(3, n)", (("n", _INT), ("r", _INT))),
     "det": (cmd_det, "knot determinant of THK(3, n)", (("n", _INT),)),
@@ -286,57 +286,112 @@ _COMMANDS = {
     "verify": (cmd_verify, "run a named verification suite", (("suite", _suite_argument),)),
 }
 
-_LONG_OPTIONS = ("--format", "--budget", "--psi-cap")
+
+def _grammar(arguments) -> tuple[dict, list]:
+    """Flag -> (dest, options), and the positionals' [(dest, options)] in order."""
+    flags, positionals = {}, []
+    for names, options in arguments:
+        names = names.split()
+        options = options() if callable(options) else options
+        if names[0].startswith("-"):
+            dest = options.get("dest", names[0].lstrip("-").replace("-", "_"))
+            flags.update(dict.fromkeys(names, (dest, options)))
+        else:
+            positionals.append((names[0], options))
+    return flags, positionals
 
 
-def _named_command(argv: list[str]) -> str | None:
-    """The command of argv if only exact global options come before it, else None.
+_GLOBAL_FLAGS = _grammar(_GLOBAL_OPTIONS)[0]
 
-    A global option is `-f` or a long option followed by its value, or
-    `--option=value`.  Abbreviations, `-fjson`, help and anything unknown
-    before the command give None, as does argv without a command.
+
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """argv's arguments as argparse would give them, if argv has an exact shape.
+
+    The shape: global options, then a command, then its positionals and
+    options.  Each option comes at most once, as `-f V`, `--flag V` or
+    `--flag=V`.  A value or positional token may not start with `-`, and
+    each value must convert with its argument's type and be one of its
+    choices.  Any other argv (help, abbreviations, repeats, `--`, `-fjson`,
+    an option after the command that is not the command's, a missing or
+    extra argument, a bad value) gives None, and argparse takes it.
     """
-    args = iter(argv)
-    for arg in args:
-        if arg in _COMMANDS:
-            return arg
-        if arg in _LONG_OPTIONS or arg == "-f":
-            next(args, None)  # its value
-        elif arg.partition("=")[0] not in _LONG_OPTIONS:
+    values = {dest: options.get("default") for dest, options in _GLOBAL_FLAGS.values()}
+    flags, positionals = _GLOBAL_FLAGS, []
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        if token in flags:
+            dest, options = flags[token]
+            text = next(tokens, "-")  # a missing value is refused as a dash-led one
+            if text.startswith("-"):
+                return None
+        elif equals and flag.startswith("--") and flag in flags:
+            dest, options = flags[flag]
+        elif token.startswith("-"):
             return None
-    return None
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    command = _named_command(argv)
-    if command is not None:
+        elif "command" not in values:
+            if token not in _COMMANDS:
+                return None
+            values["command"] = token
+            flags, positionals = _grammar(_COMMANDS[token][2])
+            values.update((dest, options.get("default")) for dest, options in flags.values())
+            continue
+        elif positionals:
+            (dest, options), text = positionals.pop(0), token
+        else:
+            return None
         try:
-            return build_parser(command).parse_args(argv)
-        except _NeedFullParser:
-            pass
-    return build_parser().parse_args(argv)
+            value = options.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        if dest in seen:
+            return None
+        seen.add(dest)
+        values[dest] = value
+    if "command" not in values or positionals:
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _parse(argv)
-    except SystemExit as exc:  # argparse help/usage paths
-        return int(exc.code or 0)
+    args = _parse_exact(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse help/usage paths
+            return int(exc.code or 0)
     try:
         config = config_from_env(
             brute_force_budget=args.budget,
             psi_scan_cap=args.psi_cap,
             output_format=args.format,
         )
-        return _COMMANDS[args.command][0](args, config)
+        status = _COMMANDS[args.command][0](args, config)
+        sys.stdout.flush()  # a reader that has gone shows here, not at shutdown
+        return status
     except BudgetExceededError as exc:
         print(f"turkshead: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"turkshead: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at shutdown cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

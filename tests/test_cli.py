@@ -1,13 +1,17 @@
-import argparse
+import contextlib
 import doctest
+import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import turkshead
 from turkshead import cli, psi, seq, zmod
@@ -122,6 +126,23 @@ class TestExitCodes:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == "turkshead: error: prime count must be positive\n"
 
+    def test_closed_stdout_exits_141(self):
+        # the table (about 530 kB) outgrows the pipe, so writes go on after
+        # the reader has closed it
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "turkshead.cli", "-f", "csv", "psi-table", "--max", "50000"],
+            env={"PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert child.stdout.readline() == "2,3\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     def test_budget_exceeded_exit_2(self, capsys):
         code, _, err = run(capsys, "--psi-cap", "100", "psi", "150")
         assert code == 2 and "budget" in err
@@ -203,6 +224,7 @@ class TestImportCost:
     HEAVY = {
         "dataclasses", "inspect", "typing", "ast", "dis",
         "fractions", "decimal", "numbers", "csv", "turkshead.verify",
+        "argparse", "gettext",
     }
 
     @staticmethod
@@ -228,11 +250,45 @@ class TestImportCost:
         assert "turkshead.cli" in added
         assert not added & {"fractions", "turkshead.verify"}
 
+    @pytest.mark.parametrize(
+        "argv", [["-f", "json", "psi", "7"], ["count", "5", "11"], ["psi-table", "--max", "20"]],
+        ids=" ".join,
+    )
+    def test_light_command_loads_no_argparse(self, argv):
+        added = self.modules_added(f"from turkshead.cli import main; assert main({argv!r}) == 0")
+        assert "turkshead.cli" in added
+        assert not added & {"argparse", "gettext"}
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = run(capsys, "-h")
+        assert code == 0 and err == "" and out.startswith("usage: turkshead [-h]")
+        assert all(f"    {name} " in out for name in cli._COMMANDS)
+
+
+def outcome(argv: list[str]) -> tuple[int, str, str]:
+    """main's exit code, stdout and stderr, with verify's timings masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), re.sub(r"took \d+\.\ds", "took Ts", err.getvalue())
+
+
+def assert_exact_parity(argv: list[str]) -> None:
+    """The exact parser declines argv or gives what the full parser gives, and
+    main answers as it does with the full parser alone."""
+    exact = cli._parse_exact(argv)
+    if exact is not None:
+        assert vars(exact) == vars(cli.build_parser().parse_args(argv))
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        seen = outcome(argv)
+        with mock.patch.object(cli, "_parse_exact", lambda argv: None):
+            assert outcome(argv) == seen
+
 
 class TestOneCommandParser:
-    # main builds only the named command's subparser when argv starts with
-    # exact global options and a command; these must behave exactly as the
-    # full parser does, help and errors included
+    # main parses argv naming one command in an exact shape without argparse;
+    # every other argv, help and errors included, goes to the full parser
+    BIG = "9" * 5000  # above CPython's integer string limit of 4,300 digits
     CORPUS = [
         ["-h"], ["--he"], ["-h", "psi"], ["psi", "-h"], ["verify", "-h"],
         ["--format=json", "det", "10"], ["-fjson", "det", "10"], ["--form", "json", "det", "10"],
@@ -241,38 +297,46 @@ class TestOneCommandParser:
         ["bogus"], ["-f", "json", "5", "psi"], ["psi", "5", "-f", "json"],
         ["psi-table", "--ma", "20"], ["verify", "nope"], ["--"],
         ["--psi-cap", "3", "psi", "7"], ["-f", "csv", "stats", "5"], ["mincol", "5", "11"],
+        ["-f=json", "psi", "5"], ["-f", "json", "-f", "plain", "det", "3"],
+        ["--budget", "-5", "psi", "7"], ["--budget", "-1_000", "psi", "7"], ["psi", "-5"],
+        ["psi", "-1_000"], ["psi", ""], ["psi", " 7"],
+        ["psi", "1_000"], ["psi", "\u0667"], ["psi", BIG], ["psi-table", "--max=40"],
+        ["psi-table", "--max", "40", "--max", "50"], ["psi-table", "40"],
+        ["--psi-cap=", "psi", "7"], ["verify", "identities"],
     ]
 
-    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
-    def test_same_output_as_full_parser(self, argv, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        fast = run(capsys, *argv)
-        monkeypatch.setattr(cli, "_named_command", lambda argv: None)
-        assert run(capsys, *argv) == fast
+    @pytest.mark.parametrize(
+        "argv", CORPUS, ids=lambda argv: " ".join(t if len(t) < 20 else f"<{len(t)} digits>" for t in argv),
+    )
+    def test_same_output_as_full_parser(self, argv):
+        assert_exact_parity(argv)
 
-    def test_holds_only_the_named_command(self):
-        (sub,) = [a for a in cli.build_parser("psi")._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == ["psi"]
-        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == list(cli._COMMANDS)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(sorted({t for argv in CORPUS for t in argv})), max_size=6))
+    def test_random_argv_same_as_full_parser(self, argv):
+        assert_exact_parity(argv)
 
     @pytest.mark.parametrize(
         "argv, built",
         [
-            (["-f", "json", "psi", "7"], ["psi"]),
-            (["--budget=9", "--psi-cap", "5", "det", "3"], ["det"]),
-            (["psi", "abc"], ["psi", None]),
-            (["--form", "json", "det", "3"], [None]),
-            (["-h"], [None]),
+            (["-f", "json", "psi", "7"], []),
+            (["--budget=9", "--psi-cap", "5", "det", "3"], []),
+            (["psi", "abc"], ["full"]),
+            (["--form", "json", "det", "3"], ["full"]),
+            (["-h"], ["full"]),
+            (["psi-table", "--max=40"], []),
+            (["verify", "determinants"], []),
+            (["psi-table", "--max", "40", "--max", "50"], ["full"]),
+            (["psi", "5", "-f", "json"], ["full"]),
         ],
     )
     def test_parsers_built(self, argv, built, capsys, monkeypatch):
         seen = []
         full = cli.build_parser
 
-        def build(command=None):
-            seen.append(command)
-            return full(command)
+        def build():
+            seen.append("full")
+            return full()
 
         monkeypatch.setattr(cli, "build_parser", build)
         run(capsys, *argv)
