@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 from . import mincol, zmod
 from .config import OUTPUT_FORMATS, BudgetExceededError, RunConfig, config_from_env
-from .psi import _usage_ratio, first_usage_primes, prime_psi_stats, psi, psi_table
+from .psi import prime_psi_stats, psi, psi_table, usage_ratios
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,9 +189,7 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 
 def cmd_usage(args, config: RunConfig) -> int:
-    # first_usage_primes certifies each prime and psi(p) = p + 1, so the
-    # ratios skip color_usage_ratio's re-proof of both
-    rows = [(p, _usage_ratio(p)) for p in first_usage_primes(args.prime_count)]
+    rows = usage_ratios(args.prime_count)
     if config.output_format == "json":
         _emit_json(
             {

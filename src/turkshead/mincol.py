@@ -18,7 +18,6 @@ from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import (
     Coloring,
     distinct_colors,
-    is_circular_shift,
     lift_coloring,
     min_colors_standard,
     stack_coloring,
@@ -97,7 +96,8 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     [[u_{2k+1}+1, -u_{2k-1}-1], [u_{2k-1}+1, -u_{2k-3}-2]] has determinant
     -u_{q-1} == 0 mod p, its kernel vectors have distinct coordinates, and
     normalizing one to difference 1 yields the middle input color s so that
-    (1, s, 0) closes with the shift property.  Uses at most q colors.
+    (1, s, 0) closes with the shift property: the right strand is the left
+    one rotated by k, which is asserted in O(q).  Uses at most q colors.
     """
     m00 = (seq.u_mod(q, p) + 1) % p
     m01 = (-seq.u_mod(q - 2, p) - 1) % p
@@ -122,7 +122,8 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     col = Coloring.from_input(q, p, (1, s, 0))
     if col.is_trivial:
         raise AssertionError(f"construction degenerated to trivial at p = {p}")
-    if not is_circular_shift(col.x_sequence, col.z_sequence):
+    x, k = col.x_sequence, (q - 1) // 2
+    if col.z_sequence != x[k:] + x[:k]:
         raise AssertionError(f"shift property failed at p = {p}")
     if distinct_colors(col) > q:
         raise AssertionError(f"palette exceeded psi({p}) = {q}")
@@ -132,20 +133,13 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
 def _even_psi_coloring(p: int, q: int) -> Coloring:
     """construct(p) for a prime p > 5 whose psi q is even: input (0, 1, 0).
 
-    Uses at most q - 1 colors when 4 | q and q - 5 otherwise; the trace
-    folds back on itself, which also fixes a handful of boundary colors
-    that are asserted here.
+    The trace folds back on itself, which also fixes a handful of boundary
+    colors that are asserted here; _construction checks the palette.
     """
     col = Coloring.from_input(q, p, (0, 1, 0))
     if col.is_trivial:
         raise AssertionError(f"probe input degenerated to trivial at p = {p}")
-    bound = q - 1 if q % 4 == 0 else q - 5
-    if distinct_colors(col) > bound:
-        raise AssertionError(
-            f"palette {distinct_colors(col)} exceeds the bound {bound} at p = {p}"
-        )
-    xs = [t[0] for t in col.trace]
-    zs = [t[2] for t in col.trace]
+    xs, zs = col.x_sequence, col.z_sequence
     schema = (
         xs[1] == 0
         and xs[2] == 1
@@ -173,33 +167,33 @@ def construct(p: int) -> Coloring:
 
 
 def _construction(p: int, q: int) -> Coloring:
-    """construct(p) for a prime p > 5 with psi(p) = q."""
-    return _odd_psi_coloring(p, q) if q % 2 else _even_psi_coloring(p, q)
+    """construct(p) for a prime p > 5 with psi(p) = q, its palette asserted
+    to be at most _estimate_bound(p, q)."""
+    col = _odd_psi_coloring(p, q) if q % 2 else _even_psi_coloring(p, q)
+    palette, bound = distinct_colors(col), _estimate_bound(p, q)
+    if palette > bound:
+        raise AssertionError(f"palette {palette} exceeds the estimate {bound} at p = {p}")
+    return col
 
 
-def estimate(p: int) -> int:
-    """Upper bound for mincol_p THK(3, psi(p)), for a prime p > 11.
+def _estimate_bound(p: int, q: int) -> int:
+    """The paper's upper estimate for mincol_p THK(3, q), for a prime p > 5
+    with psi(p) = q.
 
-    Odd psi(p): (p+1)/2 or (p-1)/2 according to the sign of 5^((p-1)/2);
-    even psi(p): psi(p) - 1 when divisible by 4, else psi(p) - 5.  Always
-    cross-checked against the palette the matching construction realizes.
+    Odd q: (p + 1)/2 when q divides p + 1, else (p - 1)/2.  Even q: one
+    less than q when 4 | q, else five less.
+
+    The odd branch is the paper's, which picks (p + 1)/2 exactly when
+    5^((p-1)/2) = -1 mod p, and it is at least q.  Proof: q divides the
+    order bound B of psi._order_bound (Wall 1960), which is p + 1 when
+    5^((p-1)/2) = -1 mod p and (p - 1)/2 otherwise.  An odd q > 1 cannot
+    divide both p + 1 and (p - 1)/2, because their gcd divides
+    (p + 1) - 2 (p - 1)/2 = 2.  So q | p + 1 exactly when B = p + 1, and
+    then the odd q divides (p + 1)/2; otherwise q divides (p - 1)/2.
     """
-    if not zmod.is_prime(p) or p <= 11:
-        raise ValueError(f"need a prime greater than 11, got {p}")
-    return _checked_estimate(p, _construction(p, psi_of_prime(p)))
-
-
-def _checked_estimate(p: int, col: Coloring) -> int:
-    """estimate(p), asserted against the palette of construct(p) = col."""
-    q = col.n
-    if q % 2 == 1:
-        # Euler's criterion; p is known prime, so legendre5's primality test is skipped
-        bound = (p + 1) // 2 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
-    else:
-        bound = q - 1 if q % 4 == 0 else q - 5
-    if distinct_colors(col) > bound:
-        raise AssertionError(f"construction beat its own bound at p = {p}")
-    return bound
+    if q % 2:
+        return (p + 1) // 2 if (p + 1) % q == 0 else (p - 1) // 2
+    return q - 1 if q % 4 == 0 else q - 5
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -318,7 +312,7 @@ def mincol_exact(
         col = _construction(p_star, q)
         if n % q != 0:
             raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
-        label = f"construction(p={p_star},estimate-bound={_checked_estimate(p_star, col)})"
+        label = f"construction(p={p_star},estimate-bound={_estimate_bound(p_star, q)})"
         col, steps = _transport(col, n, r)
         label += "".join(f"+{step}" for step in steps)
         routes.append((distinct_colors(col), 0, col, label))

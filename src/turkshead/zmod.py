@@ -105,22 +105,6 @@ def _passes_miller_rabin(n: int) -> bool:
     return True
 
 
-def legendre5(p: int) -> int:
-    """5^((p-1)/2) mod p reduced to +1 or -1, for an odd prime p != 5.
-
-    Computed by binary exponentiation; Fermat's little theorem guarantees the
-    value is one of the two square roots of 1 mod p.
-    """
-    if p == 5 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"legendre5 requires an odd prime != 5, got {p}")
-    t = pow(5, (p - 1) // 2, p)
-    if t == 1:
-        return 1
-    if t == p - 1:
-        return -1
-    raise AssertionError(f"5^((p-1)/2) mod {p} = {t}, so {p} is not prime")
-
-
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending (empty for limit < 2).
 

@@ -79,7 +79,7 @@ class TestBasicCommands:
     def test_usage_reuses_the_certificates(self, capsys, monkeypatch):
         # first_usage_primes has proved each prime and psi(p) = p + 1, so
         # the ratios neither retest primality nor descend to psi again
-        expected = [float(psi.color_usage_ratio(p)) for p in psi.first_usage_primes(25)]
+        expected = [float(ratio) for _, ratio in psi.usage_ratios(25)]
 
         def refuse(*args):
             raise AssertionError("usage re-proved a certified prime")

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import turkshead
-from turkshead import mincol, seq, thk, zmod
+from turkshead import mincol, psi, seq, thk, zmod
 
 
 class TestCountColorings:
@@ -135,6 +136,14 @@ class TestOddConstruction:
             assert col.n % 2 == 1
             assert thk.is_circular_shift(col.x_sequence, col.z_sequence)
 
+    def test_large_psi_builds_in_linear_time(self):
+        # psi(200351) = 100175, so a shift check that tries every rotation,
+        # quadratic in psi, would take ~13 s
+        start = time.perf_counter()
+        col = mincol.construct(200351)
+        assert col.n == 100175
+        assert time.perf_counter() - start < 2
+
     def test_guards(self):
         for p in (1, 4, 9):  # not prime
             with pytest.raises(ValueError, match=f"^need a prime greater than 5, got {p}$"):
@@ -185,12 +194,6 @@ class TestConstructionWork:
         mincol.construct(p)
         assert counts == {"psi_of_prime": 1, "is_prime": 1}
 
-    @pytest.mark.parametrize("build, p", [(mincol.estimate, 29), (mincol.estimate, 13)])
-    def test_public_constructions_test_primality_once(self, counts, build, p):
-        # construct itself is counted above; estimate builds the same coloring
-        build(p)
-        assert counts["is_prime"] == 1
-
     def test_construction_route_reuses_the_psi_it_ranked_by(self, counts):
         # zmod.factor proved 29 prime, so the route makes no primality test
         verdict = mincol.mincol_exact(7, 29)
@@ -201,19 +204,29 @@ class TestConstructionWork:
 class TestEstimate:
     @pytest.mark.parametrize("p, expected", [(29, 14), (13, 9), (43, 43), (37, 33), (19, 9)])
     def test_examples(self, p, expected):
-        assert mincol.estimate(p) == expected
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            mincol.estimate(11)
-        with pytest.raises(ValueError):
-            mincol.estimate(12)
+        # the construction route names the estimate for its prime
+        verdict = mincol.mincol_exact(psi.psi(p).psi, p)
+        tag = f"upper-route-construction(p={p},estimate-bound={expected})("
+        assert any(step.startswith(tag) for step in verdict.provenance)
 
     def test_dominates_construction(self):
         for p in zmod.primes_up_to(200):
             if p <= 11:
                 continue
-            assert mincol.estimate(p) >= thk.distinct_colors(mincol.construct(p))
+            col = mincol.construct(p)
+            assert mincol._estimate_bound(p, col.n) >= thk.distinct_colors(col)
+
+    def test_odd_bound_is_eulers_criterion_and_at_least_psi(self):
+        # the proof in _estimate_bound's docstring, checked prime by prime
+        checked = 0
+        for p in zmod.primes_up_to(20000):
+            q = psi.psi_of_prime(p)
+            if p < 11 or q % 2 == 0:
+                continue
+            euler = (p + 1) // 2 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
+            assert q <= mincol._estimate_bound(p, q) == euler
+            checked += 1
+        assert checked > 700
 
 
 class TestVerdicts:

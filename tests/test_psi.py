@@ -124,7 +124,7 @@ class TestPsiOfPrime:
                 continue
             # the dichotomy: psi(p) | p + 1 when 5^((p-1)/2) == -1 mod p, else
             # psi(p) | (p - 1)/2; exactly one of p | u_p and p | u_{(p-3)/2}
-            minus = zmod.legendre5(p) == -1
+            minus = pow(5, (p - 1) // 2, p) == p - 1
             assert (p + 1 if minus else (p - 1) // 2) % q == 0
             at_p, at_half = seq.u_mod(p, p) == 0, seq.u_mod((p - 3) // 2, p) == 0
             assert (at_p, at_half) == (minus, not minus)
@@ -168,12 +168,23 @@ class TestPsiDivides:
         assert (m % psi.psi(r).psi == 0) == (seq.u_mod(m - 1, r) == 0)
 
 
+class TestOrderBound:
+    @pytest.mark.parametrize("p, expected", [(11, 5), (29, 14), (37, 38), (3, 4)])
+    def test_examples(self, p, expected):
+        assert psi._order_bound(p) == expected
+
+    def test_bound_is_a_zero_index_for_all_primes_to_1e4(self):
+        # psi(p) divides the bound, so p | u_{bound - 1}
+        for p in zmod.primes_up_to(10**4):
+            assert seq.u_mod(psi._order_bound(p) - 1, p) == 0
+
+
 class TestPrimeBranch:
     def test_branch_examples(self):
         # psi(11) = 5 | (11 - 1)/2, psi(37) = 38 | 37 + 1, psi(29) = 7 | 14
-        assert zmod.legendre5(11) == 1 and psi.psi_of_prime(11) == 5
-        assert zmod.legendre5(37) == -1 and psi.psi_of_prime(37) == 38
-        assert zmod.legendre5(29) == 1 and psi.psi_of_prime(29) == 7
+        assert pow(5, 5, 11) == 1 and psi.psi_of_prime(11) == 5
+        assert pow(5, 18, 37) == 36 and psi.psi_of_prime(37) == 38
+        assert pow(5, 14, 29) == 1 and psi.psi_of_prime(29) == 7
 
     def test_psi_bounded_by_p_plus_1_to_1e4(self):
         for p in zmod.primes_up_to(10**4):
@@ -192,7 +203,7 @@ class TestPrimeBranch:
                 continue
             at_p, at_half = seq.u_mod(p, p) == 0, seq.u_mod((p - 3) // 2, p) == 0
             assert at_p != at_half
-            assert at_p == (zmod.legendre5(p) == -1)
+            assert at_p == (pow(5, (p - 1) // 2, p) == p - 1)
 
 
 def common_primes(n, r):
@@ -300,18 +311,11 @@ class TestPrimeSweepCertificate:
 class TestColorUsage:
     def test_first_qualifying_prime(self):
         # palettes from (0,1,0) and (1,2,0) on THK(3, 14) mod 13 are 9 and 12
-        assert psi.color_usage_ratio(13) == Fraction(12, 13)
+        assert psi.usage_ratios(1) == [(13, Fraction(12, 13))]
 
     def test_p_37(self):
-        assert psi.color_usage_ratio(37) == Fraction(29, 37)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            psi.color_usage_ratio(7)       # at the boundary, excluded
-        with pytest.raises(ValueError):
-            psi.color_usage_ratio(11)      # psi(11) = 5 != 12
-        with pytest.raises(ValueError):
-            psi.color_usage_ratio(15)      # not prime
+        # 37 is the fourth prime p > 7 with psi(p) = p + 1, after 13, 17, 23
+        assert psi.usage_ratios(4)[3] == (37, Fraction(29, 37))
 
 
 class TestUsagePrimes:

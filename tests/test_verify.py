@@ -1,6 +1,5 @@
 from turkshead import psi, verify
 from turkshead.config import RunConfig
-from turkshead.psi import color_usage_ratio
 
 
 class TestColorUsage:
@@ -8,9 +7,7 @@ class TestColorUsage:
         # the observed-range note is not a failure, so with 19 primes outside
         # the window, 6 are shown and 13 more are counted
         lo, hi = verify.USAGE_WINDOW
-        outside = [
-            p for p in psi.first_usage_primes(25) if not lo <= color_usage_ratio(p) <= hi
-        ]
+        outside = [p for p, ratio in psi.usage_ratios(25) if not lo <= ratio <= hi]
         (result,) = verify.suite_color_usage(RunConfig())
         assert len(outside) == 19 and not result.passed
         assert result.detail.count("outside [") == 6

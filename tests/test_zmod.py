@@ -23,23 +23,6 @@ class TestModInverse:
         assert zmod.mod_inverse(a, r) * a % r == 1
 
 
-class TestLegendre5:
-    @pytest.mark.parametrize("p, expected", [(11, 1), (29, 1), (37, -1), (3, -1)])
-    def test_examples(self, p, expected):
-        assert zmod.legendre5(p) == expected
-
-    def test_squares_to_one_for_all_odd_primes_to_1e4(self):
-        for p in zmod.primes_up_to(10**4):
-            if p in (2, 5):
-                continue
-            assert zmod.legendre5(p) ** 2 == 1
-
-    @pytest.mark.parametrize("bad", [5, 2, 9, 1])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            zmod.legendre5(bad)
-
-
 class TestPrimesAndFactors:
     def test_primes_up_to_11(self):
         assert zmod.primes_up_to(11) == [2, 3, 5, 7, 11]
