@@ -15,13 +15,7 @@ from collections import namedtuple
 from . import seq, thk, zmod
 from .psi import psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
-from .thk import (
-    Coloring,
-    distinct_colors,
-    lift_coloring,
-    min_colors_standard,
-    stack_coloring,
-)
+from .thk import Coloring, min_colors_standard
 from .zmod import check_modulus
 
 
@@ -97,7 +91,8 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     -u_{q-1} == 0 mod p, its kernel vectors have distinct coordinates, and
     normalizing one to difference 1 yields the middle input color s so that
     (1, s, 0) closes with the shift property: the right strand is the left
-    one rotated by k, which is asserted in O(q).  Uses at most q colors.
+    one rotated by k, which is asserted in O(q).  Uses at most q colors,
+    which _construction checks.
     """
     m00 = (seq.u_mod(q, p) + 1) % p
     m01 = (-seq.u_mod(q - 2, p) - 1) % p
@@ -120,13 +115,9 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     scale = zmod.mod_inverse(w[0] - w[1], p)
     s = scale * w[1] % p
     col = Coloring.from_input(q, p, (1, s, 0))
-    if col.is_trivial:
-        raise AssertionError(f"construction degenerated to trivial at p = {p}")
     x, k = col.x_sequence, (q - 1) // 2
     if col.z_sequence != x[k:] + x[:k]:
         raise AssertionError(f"shift property failed at p = {p}")
-    if distinct_colors(col) > q:
-        raise AssertionError(f"palette exceeded psi({p}) = {q}")
     return col
 
 
@@ -137,8 +128,6 @@ def _even_psi_coloring(p: int, q: int) -> Coloring:
     colors that are asserted here; _construction checks the palette.
     """
     col = Coloring.from_input(q, p, (0, 1, 0))
-    if col.is_trivial:
-        raise AssertionError(f"probe input degenerated to trivial at p = {p}")
     xs, zs = col.x_sequence, col.z_sequence
     schema = (
         xs[1] == 0
@@ -167,10 +156,19 @@ def construct(p: int) -> Coloring:
 
 
 def _construction(p: int, q: int) -> Coloring:
-    """construct(p) for a prime p > 5 with psi(p) = q, its palette asserted
-    to be at most _estimate_bound(p, q)."""
-    col = _odd_psi_coloring(p, q) if q % 2 else _even_psi_coloring(p, q)
-    palette, bound = distinct_colors(col), _estimate_bound(p, q)
+    """construct(p) for a prime p > 5 with psi(p) = q.
+
+    Its palette, read once, is asserted nontrivial, at most q for odd q, and
+    at most _estimate_bound(p, q).
+    """
+    odd = q % 2 == 1
+    col = _odd_psi_coloring(p, q) if odd else _even_psi_coloring(p, q)
+    palette, bound = len(col.colors_used), _estimate_bound(p, q)
+    if palette == 1:
+        what = "construction" if odd else "probe input"
+        raise AssertionError(f"{what} degenerated to trivial at p = {p}")
+    if odd and palette > q:
+        raise AssertionError(f"palette exceeded psi({p}) = {q}")
     if palette > bound:
         raise AssertionError(f"palette {palette} exceeds the estimate {bound} at p = {p}")
     return col
@@ -256,16 +254,27 @@ def _construction_prime(primes: list[int]) -> tuple[int, int] | None:
 
 
 def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
-    """Stack col up to n levels and lift it to modulus r, naming each step."""
+    """Carry col from THK(3, n0) mod s to THK(3, n) mod r, naming each step.
+
+    Stacking k = n / n0 copies keeps the period, since level n of the stack
+    is level 0 again; lifting multiplies every color by r / s, which keeps
+    the block map's relations and the palette size.  Both need n0 | n and
+    s | r, and the result is revalidated around its period.
+    """
     n0, s = col.n, col.r
+    if n % n0 or r % s:
+        raise AssertionError(f"cannot carry THK(3, {n0}) mod {s} to THK(3, {n}) mod {r}")
     steps = []
     if n > n0:
-        col = stack_coloring(col, n // n0)
         steps.append(f"stack(k={n // n0})")
     if r > s:
-        col = lift_coloring(col, r)
         steps.append(f"lift({s}->{r})")
-    return col, steps
+    scale = r // s
+    period = tuple((a * scale, b * scale, c * scale) for a, b, c in col.period)
+    moved = Coloring(n, r, period)
+    if not moved.validate():
+        raise AssertionError(f"transported coloring failed revalidation at ({n}, {r})")
+    return moved, steps
 
 
 def mincol_exact(
@@ -290,7 +299,7 @@ def mincol_exact(
         witness, steps = _transport(Coloring.from_input(n0, s, probe), n, r)
         if value == 5:
             # the classification alone gives >= 5 here; the witness closes it
-            if constraint != ("lower", 5) or distinct_colors(witness) != 5:
+            if constraint != ("lower", 5) or len(witness.colors_used) != 5:
                 raise AssertionError(f"rule {tag} lost its dual certificate at ({n}, {r})")
         elif constraint != ("exact", value):
             raise AssertionError(
@@ -315,7 +324,7 @@ def mincol_exact(
         label = f"construction(p={p_star},estimate-bound={_estimate_bound(p_star, q)})"
         col, steps = _transport(col, n, r)
         label += "".join(f"+{step}" for step in steps)
-        routes.append((distinct_colors(col), 0, col, label))
+        routes.append((len(col.colors_used), 0, col, label))
     if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
         found = min_colors_standard(n, r, budget, (gu, g5))
         if found is None:

@@ -1,5 +1,5 @@
 """Standard diagrams of THK(3, n): color propagation, transfer matrices,
-exhaustive coloring enumeration, and coloring transformations.
+exhaustive coloring enumeration, and the standard-diagram palette search.
 
 A coloring state is a triple (a, b, c) of residues read left-to-right across
 the three strands at one horizontal level of the braid; one crossing block
@@ -34,11 +34,6 @@ C_BLOCK: Matrix = ((2, 0, -1), (1, 0, 0), (0, -1, 2))
 C_BLOCK_INV: Matrix = ((0, 1, 0), (-2, 4, -1), (-1, 2, 0))
 
 
-def reduce_triple(t: Triple, r: int) -> Triple:
-    check_modulus(r)
-    return (t[0] % r, t[1] % r, t[2] % r)
-
-
 def _block_step(t: Triple, r: int | None) -> Triple:
     """One block step with r already checked (or None for the integers)."""
     a, b, c = t
@@ -57,7 +52,8 @@ def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
             out.append(_block_step(out[-1], None))
         return out
     # the block step inlined: the standard-diagram search spends its time here
-    a, b, c = reduce_triple(t, r)
+    check_modulus(r)
+    a, b, c = t[0] % r, t[1] % r, t[2] % r
     out = [(a, b, c)]
     for _ in range(n):
         a, b, c = (2 * a - c) % r, a, (2 * c - b) % r
@@ -161,17 +157,19 @@ def transfer_matrix(n: int, r: int | None = None) -> TransferMatrix:
 def is_coloring(n: int, r: int, t: Triple) -> bool:
     """True iff the color input t survives n blocks unchanged mod r."""
     check_modulus(r)
-    t = reduce_triple(t, r)
+    t = (t[0] % r, t[1] % r, t[2] % r)
     return transfer_matrix(n, r).apply(t) == t
 
 
 # -- colorings ----------------------------------------------------------------
 
-class Coloring(namedtuple("Coloring", "n r trace")):
+class Coloring(namedtuple("Coloring", "n r period")):
     """A closed coloring of the standard diagram of THK(3, n) mod r.
 
-    `trace` holds the n+1 strand-color levels; the last level equals the
-    first (the braid closure condition).
+    `period` holds the strand-color levels 0..m-1 for some m dividing n;
+    level i is period[i % m], so level n equals level 0 (the braid closure
+    condition).  Juxtaposing copies of THK(3, m) thus needs no new levels,
+    and every palette and check reads the period alone.
     """
 
     __slots__ = ()
@@ -186,38 +184,46 @@ class Coloring(namedtuple("Coloring", "n r trace")):
             raise ValueError(
                 f"input {t} does not close after {n} blocks mod {r}"
             )
+        levels.pop()
         return cls(n, r, tuple(levels))
 
     @property
     def input_triple(self) -> Triple:
-        return self.trace[0]
+        return self.period[0]
+
+    @property
+    def trace(self) -> tuple[Triple, ...]:
+        """The n+1 strand-color levels 0..n; the last equals the first."""
+        return self.period * (self.n // len(self.period)) + self.period[:1]
 
     @property
     def x_sequence(self) -> list[int]:
         """Left strand colors over levels 0..n-1 (the L sequence)."""
-        return [t[0] for t in self.trace[: self.n]]
+        return [t[0] for t in self.period] * (self.n // len(self.period))
 
     @property
     def z_sequence(self) -> list[int]:
         """Right strand colors over levels 0..n-1 (the R sequence)."""
-        return [t[2] for t in self.trace[: self.n]]
+        return [t[2] for t in self.period] * (self.n // len(self.period))
 
     @property
     def colors_used(self) -> list[int]:
         """Sorted distinct arc colors: the x and z values over one period."""
-        return sorted(set(self.x_sequence) | set(self.z_sequence))
+        return sorted({t[0] for t in self.period} | {t[2] for t in self.period})
 
     @property
     def is_trivial(self) -> bool:
         return len(self.colors_used) == 1
 
     def validate(self) -> bool:
-        """Recheck every propagation step and the closure condition."""
-        if len(self.trace) != self.n + 1 or self.trace[-1] != self.trace[0]:
+        """Check that the period length m divides n, then every block step
+        around the period, from level m - 1 back to level 0 included."""
+        m = len(self.period)
+        if not 0 < m <= self.n or self.n % m:
             return False
         r = check_modulus(self.r)
         return all(
-            _block_step(self.trace[i], r) == self.trace[i + 1] for i in range(self.n)
+            _block_step(self.period[i - 1], r) == self.period[i] for i in range(m)
         )
 
     def to_json_dict(self) -> dict:
@@ -228,11 +234,6 @@ class Coloring(namedtuple("Coloring", "n r trace")):
             "trace": [list(t) for t in self.trace],
             "colors_used": self.colors_used,
         }
-
-
-def distinct_colors(coloring: Coloring) -> int:
-    """Number of distinct colors on the 2n arcs of the standard diagram."""
-    return len(coloring.colors_used)
 
 
 def is_circular_shift(a: list[int], b: list[int]) -> bool:
@@ -342,51 +343,10 @@ def min_colors_standard(
     for a, b, _ in _translation_representatives(n, r, gu, g5):
         if a == b == 0:
             continue
-        k = distinct_colors(Coloring.from_input(n, r, (a, b, 0)))
+        k = len(Coloring.from_input(n, r, (a, b, 0)).colors_used)
         key = (k, (0, (b - a) % r, -a % r))
         if best is None or key < best:
             best = key
     if best is None:
         return None
     return best[0], Coloring.from_input(n, r, best[1])
-
-
-# -- transformations ----------------------------------------------------------
-
-def lift_coloring(coloring: Coloring, r: int) -> Coloring:
-    """Rescale a coloring mod s to one mod r, where s divides r.
-
-    Every color i becomes i * (r // s); validity, nontriviality, and the
-    distinct-color count all carry over.
-    """
-    s = coloring.r
-    check_modulus(r)
-    if r % s != 0:
-        raise ValueError(f"lift needs the old modulus {s} to divide {r}")
-    factor = r // s
-    lifted = Coloring(
-        coloring.n,
-        r,
-        tuple((a * factor, b * factor, c * factor) for a, b, c in coloring.trace),
-    )
-    if not lifted.validate():
-        raise AssertionError("lifted coloring failed revalidation")
-    return lifted
-
-
-def stack_coloring(coloring: Coloring, k: int) -> Coloring:
-    """Juxtapose k copies of a closed coloring: THK(3, n) -> THK(3, k*n).
-
-    The trace is periodic, so the stacked trace repeats it k times; the
-    palette is unchanged.
-    """
-    if k < 1:
-        raise ValueError("stacking count must be >= 1")
-    n = coloring.n
-    trace = tuple(
-        coloring.trace[i % n] for i in range(k * n)
-    ) + (coloring.trace[0],)
-    stacked = Coloring(k * n, coloring.r, trace)
-    if not stacked.validate():
-        raise AssertionError("stacked coloring failed revalidation")
-    return stacked

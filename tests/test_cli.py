@@ -389,8 +389,10 @@ class TestHostileInput:
             (("psi", str(seq.u(1000))), 0, "= 1001 (1001 residues scanned)"),
             # a 30-digit probable prime: its primality cannot be proven
             (("construct", str(10**29 + 319)), 2, "Miller-Rabin"),
+            # the 7 | r, 8 | n witness stacked 12,500,000 times keeps one period
+            (("mincol", "100000000", "14"), 0, "mincol THK(3, 100000000) mod 14 = 4\n"),
         ],
-        ids=["prime-1e18", "semiprime-40-digits", "u1000", "construct-30-digits"],
+        ids=["prime-1e18", "semiprime-40-digits", "u1000", "construct-30-digits", "mincol-1e8"],
     )
     def test_clean_exit_in_bounded_time_and_memory(self, argv, code, said):
         src = str(Path(turkshead.__file__).resolve().parents[1])

@@ -124,11 +124,11 @@ class TestOddConstruction:
 
     def test_p29_within_bound(self):
         col = mincol.construct(29)
-        assert col.n == 7 and thk.distinct_colors(col) <= 7
+        assert col.n == 7 and len(col.colors_used) <= 7
 
     def test_p19_valid(self):
         col = mincol.construct(19)
-        assert col.n == 9 and col.validate() and thk.distinct_colors(col) <= 9
+        assert col.n == 9 and col.validate() and len(col.colors_used) <= 9
 
     def test_rotation_property(self):
         for p in (11, 19, 29, 31):
@@ -158,11 +158,11 @@ class TestEvenConstruction:
             (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
             (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
         )
-        assert thk.distinct_colors(col) == 7
+        assert len(col.colors_used) == 7
 
     def test_p13_within_bound(self):
         col = mincol.construct(13)
-        assert col.n == 14 and thk.distinct_colors(col) <= 9
+        assert col.n == 14 and len(col.colors_used) <= 9
 
     def test_guards(self, monkeypatch):
         monkeypatch.setattr(mincol, "psi_of_prime", lambda p: pytest.fail(f"psi({p}) computed"))
@@ -214,7 +214,7 @@ class TestEstimate:
             if p <= 11:
                 continue
             col = mincol.construct(p)
-            assert mincol._estimate_bound(p, col.n) >= thk.distinct_colors(col)
+            assert mincol._estimate_bound(p, col.n) >= len(col.colors_used)
 
     def test_odd_bound_is_eulers_criterion_and_at_least_psi(self):
         # the proof in _estimate_bound's docstring, checked prime by prime
@@ -246,7 +246,7 @@ class TestVerdicts:
         assert verdict.kind == "exact" and verdict.lower == 5
         witness = verdict.witness
         assert witness.n == 85 and witness.r == 143
-        assert witness.validate() and thk.distinct_colors(witness) == 5
+        assert witness.validate() and len(witness.colors_used) == 5
         assert any("stack" in step for step in verdict.provenance)
         assert any("lift" in step for step in verdict.provenance)
 
@@ -260,7 +260,7 @@ class TestVerdicts:
         assert verdict.kind == "exact" and verdict.lower == 4
         # the standard diagram cannot realize 4 colors mod 7; the verdict
         # still carries the best standard witness, which needs 7
-        assert thk.distinct_colors(verdict.witness) == 7
+        assert len(verdict.witness.colors_used) == 7
 
     def test_only_trivial(self):
         verdict = mincol.mincol_exact(5, 7)
@@ -283,7 +283,7 @@ class TestVerdicts:
     def test_bounds_of_10_11_close_to_exact(self):
         verdict = mincol.mincol_exact(10, 11)
         assert verdict.kind == "exact" and verdict.lower == 5
-        assert thk.distinct_colors(verdict.witness) == 5
+        assert len(verdict.witness.colors_used) == 5
 
     def test_verdict_json_schema(self):
         verdict = mincol.mincol_exact(5, 11)
@@ -299,27 +299,76 @@ class TestVerdicts:
             assert thk.is_coloring(witness.n, witness.r, witness.input_triple)
 
     def test_long_braid_verdict_in_bounded_memory(self):
-        # no exact term is cached, so the stacked witness dominates memory;
-        # VmHWM is this process's own peak, while ru_maxrss can carry over
-        # the peak of the process that started it
-        code = (
-            "import resource\n"
-            "from turkshead.mincol import mincol_exact\n"
-            "verdict = mincol_exact(90000, 14)\n"
-            "assert (verdict.kind, verdict.lower) == ('exact', 2)\n"
-            "try:\n"
-            "    status = open('/proc/self/status').read()\n"
-            "    print(int(status.split('VmHWM:')[1].split()[0]) // 1024)\n"
-            "except OSError:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
-        )
+        # the witness keeps one period however long the braid, so memory
+        # does not grow with n; VmHWM is this process's own peak, while
+        # ru_maxrss can carry over the peak of the process that started it
         src = str(Path(turkshead.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert int(done.stdout) < 100
+        for n, value, limit_mb in ((90000, 2, 100), (100_000_000, 4, 40)):
+            code = (
+                "import resource\n"
+                "from turkshead.mincol import mincol_exact\n"
+                f"verdict = mincol_exact({n}, 14)\n"
+                f"assert (verdict.kind, verdict.lower) == ('exact', {value})\n"
+                "try:\n"
+                "    status = open('/proc/self/status').read()\n"
+                "    print(int(status.split('VmHWM:')[1].split()[0]) // 1024)\n"
+                "except OSError:\n"
+                "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env={"PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            assert int(done.stdout) < limit_mb, n
+
+
+class TestTransport:
+    def test_lift_two_coloring_to_four(self):
+        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
+        lifted, steps = mincol._transport(col, 3, 4)
+        assert steps == ["lift(2->4)"]
+        assert lifted.r == 4 and lifted.colors_used == [0, 2]
+        assert thk.is_coloring(3, 4, lifted.input_triple)
+
+    def test_lift_trivial_stays_trivial(self):
+        col = thk.Coloring.from_input(2, 5, (3, 3, 3))
+        assert mincol._transport(col, 2, 10)[0].is_trivial
+
+    def test_lift_preserves_palette_size(self):
+        col = thk.Coloring.from_input(2, 5, (3, 1, 0))
+        assert len(col.colors_used) == 4
+        lifted = mincol._transport(col, 2, 10)[0]
+        assert len(lifted.colors_used) == 4 and not lifted.is_trivial
+
+    def test_lift_rejects_non_divisor(self):
+        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
+        with pytest.raises(AssertionError):
+            mincol._transport(col, 3, 7)
+
+    def test_stack_identity(self):
+        col = thk.Coloring.from_input(5, 11, (1, 7, 0))
+        assert mincol._transport(col, 5, 11) == (col, [])
+
+    def test_stack_doubles_five_color_coloring(self):
+        col = thk.Coloring.from_input(5, 11, (1, 7, 0))
+        stacked, steps = mincol._transport(col, 10, 11)
+        assert steps == ["stack(k=2)"]
+        assert stacked.n == 10 and stacked.validate()
+        assert len(stacked.colors_used) == 5
+        assert stacked.trace == tuple(thk.propagate((1, 7, 0), 11, 10))
+
+    def test_stack_two_coloring(self):
+        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
+        stacked = mincol._transport(col, 9, 6)[0]
+        assert stacked.n == 9 and len(stacked.colors_used) == 2
+        assert stacked == thk.Coloring.from_input(3, 6, (0, 0, 3))._replace(n=9)
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_stack_rejects_zero_or_non_divisor(self, n):
+        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
+        with pytest.raises(AssertionError):
+            mincol._transport(col, n, 2)

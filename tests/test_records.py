@@ -6,7 +6,7 @@ from turkshead import mincol, psi, thk, verify
 from turkshead.config import RunConfig
 
 _WITNESS_5_11 = (
-    "Coloring(n=5, r=11, trace=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 2), (1, 7, 0)))"
+    "Coloring(n=5, r=11, period=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 2)))"
 )
 
 RECORDS = [

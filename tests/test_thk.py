@@ -119,15 +119,14 @@ class TestColoring:
     def test_known_five_color_palette(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         assert col.colors_used == [0, 1, 2, 4, 7]
-        assert thk.distinct_colors(col) == 5
 
     def test_trivial_palette(self):
         col = thk.Coloring.from_input(4, 9, (2, 2, 2))
-        assert col.is_trivial and thk.distinct_colors(col) == 1
+        assert col.is_trivial and len(col.colors_used) == 1
 
     def test_seven_coloring_palette(self):
         col = thk.Coloring.from_input(8, 7, (0, 1, 0))
-        assert thk.distinct_colors(col) == 7
+        assert len(col.colors_used) == 7
         assert col.trace == tuple(SEVEN_COLORING_TRACE)
 
     def test_sequences_and_shift_structure(self):
@@ -158,52 +157,32 @@ class TestColoring:
     def test_validate_rejects_corrupt_trace(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         assert col.validate()
-        trace = list(col.trace)
-        trace[2] = (9, 9, 9)
-        assert not col._replace(trace=tuple(trace)).validate()
+        period = list(col.period)
+        period[2] = (9, 9, 9)
+        assert not col._replace(period=tuple(period)).validate()
+        # every step holds but the last, back to level 0
+        assert not thk.Coloring(2, 5, tuple(thk.propagate((0, 1, 0), 5, 1))).validate()
 
-
-class TestTransformations:
-    def test_lift_two_coloring_to_four(self):
-        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
-        lifted = thk.lift_coloring(col, 4)
-        assert lifted.r == 4 and lifted.colors_used == [0, 2]
-        assert thk.is_coloring(3, 4, lifted.input_triple)
-
-    def test_lift_trivial_stays_trivial(self):
-        col = thk.Coloring.from_input(2, 5, (3, 3, 3))
-        assert thk.lift_coloring(col, 10).is_trivial
-
-    def test_lift_preserves_palette_size(self):
-        col = thk.Coloring.from_input(2, 5, (3, 1, 0))
-        assert thk.distinct_colors(col) == 4
-        lifted = thk.lift_coloring(col, 10)
-        assert thk.distinct_colors(lifted) == 4 and not lifted.is_trivial
-
-    def test_lift_rejects_non_divisor(self):
-        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
-        with pytest.raises(ValueError):
-            thk.lift_coloring(col, 7)
-
-    def test_stack_identity(self):
+    def test_validate_rejects_period_not_dividing_n(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        assert thk.stack_coloring(col, 1) == col
+        assert col._replace(n=10).validate()
+        assert not col._replace(n=7).validate()
+        assert not col._replace(n=0).validate()
+        assert not col._replace(period=()).validate()
 
-    def test_stack_doubles_five_color_coloring(self):
-        col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        stacked = thk.stack_coloring(col, 2)
-        assert stacked.n == 10 and stacked.validate()
-        assert thk.distinct_colors(stacked) == 5
-
-    def test_stack_two_coloring(self):
-        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
-        stacked = thk.stack_coloring(col, 3)
-        assert stacked.n == 9 and thk.distinct_colors(stacked) == 2
-
-    def test_stack_rejects_zero(self):
-        col = thk.Coloring.from_input(3, 2, (0, 0, 1))
-        with pytest.raises(ValueError):
-            thk.stack_coloring(col, 0)
+    def test_trace_follows_the_period_rule(self):
+        # level i is period[i % m], for the n levels of from_input and for a
+        # period repeated over twice as many blocks
+        for n in range(1, 31):
+            for r in range(2, 21):
+                for col in thk.enumerate_colorings(n, r):
+                    t = col.input_triple
+                    assert col.trace == tuple(thk.propagate(t, r, n)), (n, r, t)
+                    doubled = col._replace(n=2 * n)
+                    assert doubled.validate()
+                    assert doubled.trace == tuple(thk.propagate(t, r, 2 * n)), (n, r, t)
+                    assert doubled.x_sequence == [level[0] for level in doubled.trace[:-1]]
+                    assert doubled.z_sequence == [level[2] for level in doubled.trace[:-1]]
 
 
 class TestMinColorsStandard:
@@ -258,7 +237,7 @@ class TestMinColorsStandard:
         for n, r in [(5, 11), (7, 29)]:
             best = thk.min_colors_standard(n, r)[0]
             brute = min(
-                thk.distinct_colors(c)
+                len(c.colors_used)
                 for c in thk.enumerate_colorings(n, r)
                 if not c.is_trivial
             )
