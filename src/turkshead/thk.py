@@ -51,7 +51,6 @@ def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
         for _ in range(n):
             out.append(_block_step(out[-1], None))
         return out
-    # the block step inlined: the standard-diagram search spends its time here
     check_modulus(r)
     a, b, c = t[0] % r, t[1] % r, t[2] % r
     out = [(a, b, c)]
@@ -169,22 +168,38 @@ class Coloring(namedtuple("Coloring", "n r period")):
     `period` holds the strand-color levels 0..m-1 for some m dividing n;
     level i is period[i % m], so level n equals level 0 (the braid closure
     condition).  Juxtaposing copies of THK(3, m) thus needs no new levels,
-    and every palette and check reads the period alone.
+    and every palette and check reads the period alone.  `from_input`
+    stores the least period, and `mincol._transport` keeps it (multiplying
+    by r/s is injective from Z_s into Z_r), so two colorings of one diagram
+    compare and hash equal exactly when their levels agree.
     """
 
     __slots__ = ()
 
     @classmethod
     def from_input(cls, n: int, r: int, t: Triple) -> "Coloring":
+        """The coloring with input t, stepped from t to its first return.
+
+        The block map has determinant 1, so it is invertible mod r and every
+        orbit is purely periodic: t closes after n blocks exactly when its
+        least period m divides n.  So at most n steps are taken, and only
+        the m levels of one period are kept.
+        """
         if n < 1:
             raise ValueError("diagram needs at least one block")
         check_modulus(r)
-        levels = propagate(t, r, n)
-        if levels[n] != levels[0]:
+        start = (t[0] % r, t[1] % r, t[2] % r)
+        levels = [start]
+        a, b, c = start
+        for _ in range(n):
+            a, b, c = (2 * a - c) % r, a, (2 * c - b) % r
+            if (a, b, c) == start:
+                break
+            levels.append((a, b, c))
+        if len(levels) > n or n % len(levels):
             raise ValueError(
                 f"input {t} does not close after {n} blocks mod {r}"
             )
-        levels.pop()
         return cls(n, r, tuple(levels))
 
     @property
@@ -322,12 +337,15 @@ def min_colors_standard(
     minimum, which ranges over all diagrams of the knot.
 
     Translating every color by t maps colorings to colorings and keeps the
-    palette size, so only the gu * g5 representatives (a, b, 0) are
-    propagated, not all r * gu * g5 inputs.  The lex-least input of the
-    class of (a, b, 0) is its translate with first color 0,
-    (0, (b - a) mod r, (-a) mod r); the witness is the least of these over
-    the optimal representatives.  BudgetExceededError when the r * gu * g5
-    colorings exceed `budget`.  A caller that already holds
+    palette size, so only the gu * g5 representatives (a, b, 0) matter, not
+    all r * gu * g5 inputs.  Every level (x, y, z) of a coloring is itself an
+    input with the same arc-color set, and its translate to third color 0 is
+    the representative (x - z, y - z, 0).  So the representatives fall into
+    orbits of the block map, and each orbit is walked once, from its first
+    unseen representative.  The lex-least input among the translates of a
+    level is (0, (y - x) mod r, (z - x) mod r); the witness is the least of
+    these over the levels of the optimal orbits.  BudgetExceededError when
+    the r * gu * g5 colorings exceed `budget`.  A caller that already holds
     (gu, g5) = _reduced_system_params(n, r) passes it as `params`.
     """
     if n < 1:
@@ -340,11 +358,16 @@ def min_colors_standard(
             f"{total} colorings exceed the enumeration limit {budget}"
         )
     best: tuple[int, Triple] | None = None
+    seen: set[tuple[int, int]] = set()
     for a, b, _ in _translation_representatives(n, r, gu, g5):
-        if a == b == 0:
+        if a == b == 0 or (a, b) in seen:
             continue
-        k = len(Coloring.from_input(n, r, (a, b, 0)).colors_used)
-        key = (k, (0, (b - a) % r, -a % r))
+        col = Coloring.from_input(n, r, (a, b, 0))
+        seen.update(((x - z) % r, (y - z) % r) for x, y, z in col.period)
+        k = len(col.colors_used)
+        if best is not None and k > best[0]:
+            continue
+        key = (k, min((0, (y - x) % r, (z - x) % r) for x, y, z in col.period))
         if best is None or key < best:
             best = key
     if best is None:

@@ -361,6 +361,14 @@ class TestTransport:
         assert len(stacked.colors_used) == 5
         assert stacked.trace == tuple(thk.propagate((1, 7, 0), 11, 10))
 
+    def test_equality_follows_the_levels(self):
+        # from_input keeps the least period and stacking or lifting keeps it,
+        # so a carried coloring equals the one propagated in place
+        for base, n, r, t in [((5, 11, (1, 7, 0)), 10, 11, (1, 7, 0)), ((3, 2, (0, 0, 1)), 9, 6, (0, 0, 3))]:
+            carried = mincol._transport(thk.Coloring.from_input(*base), n, r)[0]
+            direct = thk.Coloring.from_input(n, r, t)
+            assert carried == direct and hash(carried) == hash(direct)
+
     def test_stack_two_coloring(self):
         col = thk.Coloring.from_input(3, 2, (0, 0, 1))
         stacked = mincol._transport(col, 9, 6)[0]

@@ -116,6 +116,15 @@ class TestColoring:
         with pytest.raises(ValueError, match="does not close"):
             thk.Coloring.from_input(2, 5, (0, 1, 0))
 
+    def test_from_input_keeps_the_least_period(self):
+        # (0, 1, 0) mod 13 first returns after 14 blocks
+        col = thk.Coloring.from_input(42, 13, (0, 1, 0))
+        assert len(col.period) == 14
+        assert col.trace == tuple(thk.propagate((0, 1, 0), 13, 42))
+        for n in (7, 21):
+            with pytest.raises(ValueError, match="does not close"):
+                thk.Coloring.from_input(n, 13, (0, 1, 0))
+
     def test_known_five_color_palette(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         assert col.colors_used == [0, 1, 2, 4, 7]
@@ -203,22 +212,37 @@ class TestMinColorsStandard:
         with pytest.raises(BudgetExceededError):
             thk.min_colors_standard(5, 11, budget=100)
 
+    @staticmethod
+    def oracle_minimum(n, r):
+        # the least palette over all nontrivial colorings, read off their
+        # propagated levels, paired with the lex-least input reaching it
+        # (enumerate_colorings is lex ordered)
+        expected = None
+        for col in thk.enumerate_colorings(n, r):
+            xs, _, zs = zip(*thk.propagate(col.input_triple, r, n))
+            pair = (len(set(xs).union(zs)), col.input_triple)
+            if pair[0] > 1 and (expected is None or pair < expected):
+                expected = pair
+        return expected
+
     def test_agrees_with_the_oracle_for_small_n_and_r(self):
-        # the least palette over all nontrivial colorings, paired with the
-        # lex-least input reaching it (enumerate_colorings is lex ordered)
         for n in range(1, 31):
             for r in range(2, 21):
-                expected = None
-                for col in thk.enumerate_colorings(n, r):
-                    xs, _, zs = zip(*col.trace)
-                    pair = (len(set(xs).union(zs)), col.input_triple)
-                    if pair[0] > 1 and (expected is None or pair < expected):
-                        expected = pair
+                expected = self.oracle_minimum(n, r)
                 found = thk.min_colors_standard(n, r)
                 got = found and (found[0], found[1].input_triple)
                 assert got == expected, (n, r)
                 if found is not None:
                     assert found[1] == thk.Coloring.from_input(n, r, expected[1])
+
+    @pytest.mark.parametrize("n, r, period", [(42, 13, 14), (54, 17, 18), (48, 23, 24)])
+    def test_agrees_with_the_oracle_beyond_one_period(self, n, r, period):
+        # n is several times the orbit length of the witness
+        expected = self.oracle_minimum(n, r)
+        count, witness = thk.min_colors_standard(n, r)
+        assert (count, witness.input_triple) == expected
+        assert len(witness.period) == period
+        assert witness.trace == tuple(thk.propagate(expected[1], r, n))
 
     def test_propagates_one_input_per_translation_class(self, monkeypatch):
         calls = []
@@ -228,10 +252,21 @@ class TestMinColorsStandard:
             "from_input",
             classmethod(lambda cls, *args: calls.append(args) or from_input(*args)),
         )
-        gu, g5 = thk._reduced_system_params(7, 29)
-        assert thk.min_colors_standard(7, 29)[0] == 7
-        # the representatives, less the trivial one, plus the witness
-        assert len(calls) <= gu * g5 + 1 == 29 * 29 + 1
+        for n, r, palette in [(7, 29, 7), (196, 13, 9)]:
+            calls.clear()
+            assert thk.min_colors_standard(n, r)[0] == palette
+            # the levels of one orbit, translated to third color 0, are the
+            # nontrivial representatives of one class each
+            gu, g5 = thk._reduced_system_params(n, r)
+            reps = {(a, b) for a, b, _ in thk._translation_representatives(n, r, gu, g5)}
+            reps.discard((0, 0))
+            orbits = {
+                frozenset(((x - z) % r, (y - z) % r) for x, y, z in thk.propagate((a, b, 0), r, n))
+                for a, b in reps
+            }
+            assert set().union(*orbits) == reps
+            # one walk per orbit, plus the witness
+            assert len(calls) == len(orbits) + 1, (n, r)
 
     def test_matches_exhaustive_minimum(self):
         for n, r in [(5, 11), (7, 29)]:
