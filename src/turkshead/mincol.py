@@ -71,15 +71,6 @@ def _common_primes(gu: int, g5: int) -> list[int]:
     return sorted(primes)
 
 
-def _constraint(lcp: int) -> tuple[str, int]:
-    """The mincol constraint a least common prime forces."""
-    if lcp in (2, 3):
-        return "exact", lcp
-    if lcp in (5, 7):
-        return "exact", 4
-    return "lower", 5
-
-
 # -- explicit constructions ----------------------------------------------------
 
 def _odd_psi_coloring(p: int, q: int) -> Coloring:
@@ -225,32 +216,29 @@ class MincolVerdict(
         }
 
 
-# The exact divisibility rules, in the order they are tried: s | r and
-# n0 | n pin mincol at `value`.  Each carries a frozen witness on THK(3, n0)
-# mod s, transported by stacking and lifting: the least input realizing the
-# standard diagram's minimum palette, except the 11-rule's, which is the
-# odd-psi construction at p = 11.
-_EXACT_RULES: tuple[tuple[int, int, int, tuple[int, int, int]], ...] = (
-    (2, 3, 2, (0, 0, 1)),    # 2 colors
-    (3, 4, 3, (0, 0, 1)),    # 3 colors
-    (5, 2, 4, (0, 1, 4)),    # 4 colors
-    (7, 8, 4, (0, 0, 1)),    # 7 colors; 4 is unreachable on standard diagrams
-    (11, 5, 5, (1, 7, 0)),   # 5 colors
-)
+# The exact rules, keyed by the least prime p common to r and the
+# determinant: p -> (n0, value, probe).  p divides det THK(3, n) exactly
+# when n0 | n (_transport checks this at run time), so a verdict whose least
+# common prime is a key always takes its rule, which pins mincol at `value`.
+# Each carries a frozen witness on THK(3, n0) mod p, transported by stacking
+# and lifting: the least input realizing the standard diagram's minimum
+# palette, except the 11-rule's, which is the odd-psi construction at p = 11.
+_EXACT_RULES: dict[int, tuple[int, int, tuple[int, int, int]]] = {
+    2: (3, 2, (0, 0, 1)),    # 2 colors
+    3: (4, 3, (0, 0, 1)),    # 3 colors
+    5: (2, 4, (0, 1, 4)),    # 4 colors
+    7: (8, 4, (0, 0, 1)),    # 7 colors; 4 is unreachable on standard diagrams
+    11: (5, 5, (1, 7, 0)),   # 5 colors
+}
 
 
-def _construction_prime(primes: list[int]) -> tuple[int, int] | None:
-    """(p, psi(p)) for the prime p above 5 of least psi among `primes`, ties
-    to the smaller one.
+def _construction_prime(primes: list[int]) -> tuple[int, int]:
+    """(p, psi(p)) for the prime p of least psi among `primes`, all above 5,
+    ties to the smaller one.
 
-    Its construction is the shortest braid to stack; None when every prime
-    is 2, 3 or 5.
+    Its construction is the shortest braid to stack.
     """
-    return min(
-        ((p, psi_of_prime(p)) for p in primes if p > 5),
-        key=lambda pq: (pq[1], pq[0]),
-        default=None,
-    )
+    return min(((p, psi_of_prime(p)) for p in primes), key=lambda pq: (pq[1], pq[0]))
 
 
 def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
@@ -290,53 +278,37 @@ def mincol_exact(
         return MincolVerdict(
             n, r, "only-trivial", None, None, None, ("no-nontrivial-colorings",)
         )
-    constraint = _constraint(primes[0])
-    provenance = [f"classification-lcpf-{primes[0]}"]
-    for s, n0, value, probe in _EXACT_RULES:
-        if r % s or n % n0:
-            continue
-        tag = f"{s}|r,{n0}|n"
-        witness, steps = _transport(Coloring.from_input(n0, s, probe), n, r)
-        if value == 5:
-            # the classification alone gives >= 5 here; the witness closes it
-            if constraint != ("lower", 5) or len(witness.colors_used) != 5:
-                raise AssertionError(f"rule {tag} lost its dual certificate at ({n}, {r})")
-        elif constraint != ("exact", value):
-            raise AssertionError(
-                f"rule {tag} disagrees with the classification at ({n}, {r})"
-            )
-        steps = [f"witness-base({n0},{s})", *(f"witness-{step}" for step in steps)]
+    lcp = primes[0]
+    provenance = [f"classification-lcpf-{lcp}"]
+    if lcp in _EXACT_RULES:
+        n0, value, probe = _EXACT_RULES[lcp]
+        tag = f"{lcp}|r,{n0}|n"
+        witness, steps = _transport(Coloring.from_input(n0, lcp, probe), n, r)
+        # a least common prime of 11 alone gives >= 5; the witness closes it
+        if value == 5 and len(witness.colors_used) != 5:
+            raise AssertionError(f"rule {tag} lost its dual certificate at ({n}, {r})")
+        steps = [f"witness-base({n0},{lcp})", *(f"witness-{step}" for step in steps)]
         provenance = [f"exact-rule({tag})", *provenance, *steps]
         return MincolVerdict(n, r, "exact", value, value, witness, tuple(provenance))
 
-    if constraint != ("lower", 5):
-        raise AssertionError(
-            f"no rule fired yet classification says {constraint} at ({n}, {r})"
-        )
+    # every prime up to 11 has a rule, so lcp >= 13 and all primes are above 5
     provenance.append("lower-bound-5")
-    routes: list[tuple[int, int, Coloring, str]] = []
-    found = _construction_prime(primes)
-    if found is not None:
-        p_star, q = found
-        col = _construction(p_star, q)
-        if n % q != 0:
-            raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
-        label = f"construction(p={p_star},estimate-bound={_estimate_bound(p_star, q)})"
-        col, steps = _transport(col, n, r)
-        label += "".join(f"+{step}" for step in steps)
-        routes.append((len(col.colors_used), 0, col, label))
+    p_star, q = _construction_prime(primes)
+    col = _construction(p_star, q)
+    if n % q != 0:
+        raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
+    label = f"construction(p={p_star},estimate-bound={_estimate_bound(p_star, q)})"
+    witness, steps = _transport(col, n, r)
+    label += "".join(f"+{step}" for step in steps)
+    colors = len(witness.colors_used)
+    provenance.append(f"upper-route-{label}({colors})")
     if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
-        found = min_colors_standard(n, r, budget, (gu, g5))
+        found = min_colors_standard(n, r, budget)
         if found is None:
             raise AssertionError(f"nontrivial colorings vanished at ({n}, {r})")
-        routes.append((found[0], 1, found[1], "standard-diagram-search"))
-    if not routes:
-        provenance.append("generic-arc-bound")
-        return MincolVerdict(n, r, "bounds", 5, 2 * n, None, tuple(provenance))
-    provenance.extend(f"upper-route-{label}({colors})" for colors, _, _, label in routes)
-    colors, _, witness, label = min(routes, key=lambda item: (item[0], item[1]))
+        provenance.append(f"upper-route-standard-diagram-search({found[0]})")
+        if found[0] < colors:
+            (colors, witness), label = found, "standard-diagram-search"
     provenance.append(f"upper-from-{label}")
-    if colors == 5:
-        return MincolVerdict(n, r, "exact", 5, 5, witness, tuple(provenance))
-    return MincolVerdict(n, r, "bounds", 5, colors, witness, tuple(provenance))
-
+    kind = "exact" if colors == 5 else "bounds"
+    return MincolVerdict(n, r, kind, 5, colors, witness, tuple(provenance))

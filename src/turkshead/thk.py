@@ -46,17 +46,12 @@ def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
     """Trace of n block steps: n+1 levels starting from t."""
     if n < 0:
         raise ValueError("trace length must be nonnegative")
-    if r is None:
-        out = [t]
-        for _ in range(n):
-            out.append(_block_step(out[-1], None))
-        return out
-    check_modulus(r)
-    a, b, c = t[0] % r, t[1] % r, t[2] % r
-    out = [(a, b, c)]
+    if r is not None:
+        check_modulus(r)
+        t = (t[0] % r, t[1] % r, t[2] % r)
+    out = [t]
     for _ in range(n):
-        a, b, c = (2 * a - c) % r, a, (2 * c - b) % r
-        out.append((a, b, c))
+        out.append(_block_step(out[-1], r))
     return out
 
 
@@ -71,15 +66,6 @@ def _mat_mul(a: Matrix, b: Matrix, r: int | None = None) -> Matrix:
             row.append(s if r is None else s % r)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _mat_apply(m: Matrix, t: Triple, r: int | None = None) -> Triple:
-    out = tuple(
-        m[i][0] * t[0] + m[i][1] * t[1] + m[i][2] * t[2] for i in range(3)
-    )
-    if r is None:
-        return out  # type: ignore[return-value]
-    return (out[0] % r, out[1] % r, out[2] % r)
 
 
 def c_power_iterated(n: int, r: int | None = None) -> Matrix:
@@ -124,23 +110,14 @@ def matrix_entry_b(n: int, r: int | None = None) -> int:
     return seq.u_mod(n - 2, r) * seq.u_mod(n - 1, r) % r
 
 
-class TransferMatrix(namedtuple("TransferMatrix", "n r entries")):
-    """The n-th power of the block matrix, stored via its closed form.
+def transfer_matrix(n: int, r: int | None = None) -> Matrix:
+    """The n-th power of the block matrix, from its closed form.
 
     Entries are [[a_n, b_n, -b_{n+1}], [a_{n-1}, b_{n-1}, -b_n],
     [-b_n, -a_{n-1}, a_n]]; with r=None they are exact integers, otherwise
     residues mod r.  The row vector (1, -1, 1) is a left fixed vector and
     the determinant is 1 for every n.
     """
-
-    __slots__ = ()
-
-    def apply(self, t: Triple) -> Triple:
-        return _mat_apply(self.entries, t, self.r)
-
-
-def transfer_matrix(n: int, r: int | None = None) -> TransferMatrix:
-    """Closed-form block-matrix power, exact (r=None) or mod r."""
     a_n, a_prev = matrix_entry_a(n, r), matrix_entry_a(n - 1, r)
     b_prev, b_n, b_next = (matrix_entry_b(n + k, r) for k in (-1, 0, 1))
     entries: Matrix = (
@@ -150,14 +127,17 @@ def transfer_matrix(n: int, r: int | None = None) -> TransferMatrix:
     )
     if r is not None:
         entries = tuple(tuple(x % r for x in row) for row in entries)
-    return TransferMatrix(n, r, entries)
+    return entries
 
 
 def is_coloring(n: int, r: int, t: Triple) -> bool:
     """True iff the color input t survives n blocks unchanged mod r."""
     check_modulus(r)
     t = (t[0] % r, t[1] % r, t[2] % r)
-    return transfer_matrix(n, r).apply(t) == t
+    return all(
+        (row[0] * t[0] + row[1] * t[1] + row[2] * t[2]) % r == x
+        for row, x in zip(transfer_matrix(n, r), t)
+    )
 
 
 # -- colorings ----------------------------------------------------------------
@@ -325,10 +305,7 @@ def _translation_representatives(n: int, r: int, gu: int, g5: int) -> Iterator[T
 
 
 def min_colors_standard(
-    n: int,
-    r: int,
-    budget: int = DEFAULT_BRUTE_FORCE_BUDGET,
-    params: tuple[int, int] | None = None,
+    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
 ) -> tuple[int, Coloring] | None:
     """Minimum palette over nontrivial colorings of the standard diagram.
 
@@ -345,13 +322,12 @@ def min_colors_standard(
     unseen representative.  The lex-least input among the translates of a
     level is (0, (y - x) mod r, (z - x) mod r); the witness is the least of
     these over the levels of the optimal orbits.  BudgetExceededError when
-    the r * gu * g5 colorings exceed `budget`.  A caller that already holds
-    (gu, g5) = _reduced_system_params(n, r) passes it as `params`.
+    the r * gu * g5 colorings exceed `budget`.
     """
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    gu, g5 = params or _reduced_system_params(n, r)
+    gu, g5 = _reduced_system_params(n, r)
     total = r * gu * g5
     if total > budget:
         raise BudgetExceededError(

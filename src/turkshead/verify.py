@@ -398,7 +398,7 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
 
     failures = []
     for n in range(-60, 41):  # below n = -3, a_n comes from its cofactor form
-        if thk.transfer_matrix(n).entries != thk.c_power_iterated(n):
+        if thk.transfer_matrix(n) != thk.c_power_iterated(n):
             failures.append(f"n={n}")
     results.append(
         _result("identities", "closed-form-exact", failures, "integer powers, n in [-60, 40]")
@@ -409,7 +409,7 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
         power = ((1 % r, 0, 0), (0, 1 % r, 0), (0, 0, 1 % r))
         block = tuple(tuple(x % r for x in row) for row in thk.C_BLOCK)
         for n in range(0, 501):
-            if thk.transfer_matrix(n, r).entries != power:
+            if thk.transfer_matrix(n, r) != power:
                 failures.append(f"(n={n}, r={r})")
                 break
             power = thk._mat_mul(power, block, r)
@@ -418,7 +418,7 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
     )
 
     failures = []
-    cache = {k: thk.transfer_matrix(k).entries for k in range(-60, 61)}
+    cache = {k: thk.transfer_matrix(k) for k in range(-60, 61)}
     for a in range(-30, 31):
         for b in range(-30, 31):
             if thk._mat_mul(cache[a], cache[b]) != cache[a + b]:
@@ -427,7 +427,7 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
 
     failures = []
     for n in range(-20, 61):
-        m = thk.transfer_matrix(n).entries
+        m = thk.transfer_matrix(n)
         fixed = tuple(m[0][j] - m[1][j] + m[2][j] for j in range(3))
         det = (
             m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

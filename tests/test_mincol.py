@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -65,16 +66,38 @@ class TestClassification:
     @pytest.mark.parametrize(
         "n, r, least, constraint",
         [
-            (3, 2, 2, ("exact", 2)),
-            (2, 5, 5, ("exact", 4)),
-            (8, 7, 7, ("exact", 4)),
-            (5, 11, 11, ("lower", 5)),
+            (3, 2, 2, ("exact", 2, 2)),
+            (2, 5, 5, ("exact", 4, 4)),
+            (8, 7, 7, ("exact", 4, 4)),
+            (5, 11, 11, ("exact", 5, 5)),
         ],
     )
     def test_least_prime_fixes_the_constraint(self, n, r, least, constraint):
         assert common_primes(n, r)[0] == least
-        assert mincol._constraint(least) == constraint
-        assert f"classification-lcpf-{least}" in mincol.mincol_exact(n, r).provenance
+        verdict = mincol.mincol_exact(n, r)
+        assert (verdict.kind, verdict.lower, verdict.upper) == constraint
+        assert f"classification-lcpf-{least}" in verdict.provenance
+
+    def test_each_rule_fires_exactly_when_its_prime_divides_the_determinant(self):
+        # so a least common prime up to 11 always finds its rule applicable
+        assert sorted(mincol._EXACT_RULES) == zmod.primes_up_to(11)
+        dets = [mincol.determinant(n).value for n in range(1, 301)]
+        for p, (n0, _, _) in mincol._EXACT_RULES.items():
+            for n, det in enumerate(dets, start=1):
+                assert (det % p == 0) == (n % n0 == 0), (p, n)
+
+    def test_beyond_the_rules_the_construction_answers(self):
+        seen = 0
+        for n in range(1, 121):
+            for r in range(2, 121):
+                primes = common_primes(n, r)
+                if not primes or primes[0] < 13:
+                    continue
+                provenance = mincol.mincol_exact(n, r).provenance
+                routes = [s for s in provenance if s.startswith("upper-route-construction(")]
+                assert len(routes) == 1, (n, r, provenance)
+                seen += 1
+        assert seen > 0
 
     def test_least_prime_values(self):
         cases = [(3, 2), (4, 3), (85, 143), (5, 7)]
@@ -380,3 +403,18 @@ class TestTransport:
         col = thk.Coloring.from_input(3, 2, (0, 0, 1))
         with pytest.raises(AssertionError):
             mincol._transport(col, n, 2)
+
+
+def test_verdict_grid_digest():
+    # Byte-identity guard on the verdicts of 1 <= n <= 60, 2 <= r <= 60, as
+    # their JSON lines in n-then-r order.  A change that declares an output
+    # change (a new lower end, say) updates this digest and says so in
+    # CHANGES.md; any other change must leave it alone.
+    digest = hashlib.sha256()
+    for n in range(1, 61):
+        for r in range(2, 61):
+            line = json.dumps(mincol.mincol_exact(n, r).to_json_dict()) + "\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "be78e24967e1756cb7b58475433c7a8d3b4cf9b6afebc60a2e333090f968ba15"
+    )

@@ -211,27 +211,37 @@ def common_primes(n, r):
 
 
 class TestMinCommonPrime:
-    # mincol's construction prime: the common prime of u_{n-1} and r above 5
-    # of least psi, ties to the smaller prime
+    # mincol's construction prime: the common prime of u_{n-1} and r of
+    # least psi, ties to the smaller prime; asked only when every common
+    # prime is above 11, since each smaller one has an exact rule
     @staticmethod
     def select(n, r):
-        found = mincol._construction_prime(common_primes(n, r))
-        if found is not None:
-            assert found[1] == psi.psi_of_prime(found[0])
-        return found and found[0]
+        p, q = mincol._construction_prime(common_primes(n, r))
+        assert q == psi.psi_of_prime(p)
+        return p
+
+    @staticmethod
+    def never_asked(monkeypatch):
+        def refuse(primes):
+            raise AssertionError(f"construction prime asked for {primes}")
+
+        monkeypatch.setattr(mincol, "_construction_prime", refuse)
 
     def test_examples(self):
         assert self.select(5, 11) == 11
         assert self.select(5, 22) == 11
         assert self.select(7, 29) == 29
 
-    def test_requires_common_factor(self):
+    def test_requires_common_factor(self, monkeypatch):
         assert common_primes(5, 7) == []
-        assert self.select(5, 7) is None
+        self.never_asked(monkeypatch)
+        assert mincol.mincol_exact(5, 7).kind == "only-trivial"
 
-    def test_none_when_only_small_primes_shared(self):
-        # u_2 = 4 shares only the prime 2 with r = 4
-        assert self.select(3, 4) is None
+    def test_none_when_only_small_primes_shared(self, monkeypatch):
+        # u_2 = 4 shares only the prime 2 with r = 4, and the 2-rule answers
+        assert common_primes(3, 4) == [2]
+        self.never_asked(monkeypatch)
+        assert mincol.mincol_exact(3, 4).provenance[0] == "exact-rule(2|r,3|n)"
 
     def test_minimizes_psi_not_size(self):
         # 13 and 29 both divide u_13 (psi 14 and 7 divide 14); the larger

@@ -21,11 +21,6 @@ RECORDS = [
         "PrimeStats(prime_count=5, matched=3, ratio=Fraction(3, 5))",
         id="PrimeStats",
     ),
-    pytest.param(
-        lambda: thk.transfer_matrix(2, 7),
-        "TransferMatrix(n=2, r=7, entries=((4, 1, 3), (2, 0, 6), (6, 5, 4)))",
-        id="TransferMatrix",
-    ),
     pytest.param(lambda: thk.Coloring.from_input(5, 11, (1, 7, 0)), _WITNESS_5_11, id="Coloring"),
     pytest.param(lambda: mincol.determinant(4), "Determinant(n=4, value=45)", id="Determinant"),
     pytest.param(
