@@ -12,11 +12,12 @@ the lcm of psi(p^k) over the prime powers p^k exactly dividing r, and
 psi(p^k) divides psi(p) p^(k-1) (Wall 1960; Vinson 1963).  For each prime
 power, psi_of_prime descends from that multiple, dividing out each prime
 while p^k still divides the earlier term; each such rank test costs
-O(log p^k).  psi_table walks r = 2, 3, ... and keeps the psi of each prime
-power it meets for the rest of the walk, so every prime power is descended
-once per table.  The residue scan, psi_scan, is kept as the fallback for
-moduli that zmod.factor cannot factor within its budget, and as the oracle
-of the tests.
+O(log p^k).  psi_table walks r = 2, 3, ... on one growing sieve of least
+prime factors, which splits each r and each order bound it needs without
+trial division, and keeps the psi of each prime power it meets for the rest
+of the walk, so every prime power is descended once per table.  The residue
+scan, psi_scan, is kept as the fallback for moduli that zmod.factor cannot
+factor within its budget, and as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -57,29 +58,56 @@ def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
 def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> list[tuple[int, int]]:
     """[(r, psi(r)) for 2 <= r <= max_r], ascending, as psi(r, cap) gives each.
 
-    Each r is factored by trial division with a sieve of small primes, and
-    the psi of each prime power is descended once and kept for the rest of
-    this call.  At the first r whose psi exceeds `cap` the walk stops with
-    the error psi(r, cap) raises there.  The sieve limit doubles as the
-    walk needs it, up to isqrt(max_r), so a walk that stops early never
-    sieves for the end of the range.
+    Every factorization comes from one sieve of least prime factors,
+    zmod.smallest_prime_factors: each r splits into its prime powers p^k by
+    repeated lookups, and a new p^k is descended once, over the primes of
+    its order bound read off the same sieve, and kept for the rest of this
+    call.  The sieve must reach r + 1, the bound of a prime r; it starts at
+    64, past the bound 30 of p = 2 and 5, and once r + 1 passes its end it
+    is rebuilt to min(2r, max_r + 1), so a walk that stops early never
+    sieves for the end of the range.  It stops growing at the sieve
+    ceiling, and beyond it zmod.factor splits what the sieve cannot.  At
+    the first r whose psi exceeds `cap` the walk stops with the error
+    psi(r, cap) raises there.
     """
-    limit, small_primes = 0, []
-    ranks: dict[tuple[int, int], int] = {}
+    limit, spf = 64, zmod.smallest_prime_factors(64)
+    ranks: dict[int, int] = {}  # psi(p^k) by p^k
     rows = []
     for r in range(2, max_r + 1):
-        if (limit + 1) ** 2 <= r:
-            limit = min(2 * math.isqrt(r), math.isqrt(max_r))
-            small_primes = zmod.primes_up_to(limit)
-        parts = zmod.least_prime_factors(r, small_primes).items()
-        for part in parts:
-            if part not in ranks:
-                ranks[part] = psi_of_prime(*part)
-        q = math.lcm(*(ranks[part] for part in parts))
+        if r + 1 > limit:
+            grown = min(2 * r, max_r + 1, zmod.SIEVE_CEILING)
+            if grown > limit:
+                limit, spf = grown, zmod.smallest_prime_factors(grown)
+        x, q = r, 1
+        while x > 1:
+            p = spf[x] if x <= limit else min(zmod.factor(x))
+            x //= p
+            pk = p
+            while x % p == 0:
+                x //= p
+                pk *= p
+            rank = ranks.get(pk)
+            if rank is None:
+                bound = _order_bound(p)
+                primes = _sieved_primes(bound, spf) if bound <= limit else zmod.factor(bound)
+                rank = ranks[pk] = _psi_of_prime_power(p, pk, bound, primes)
+            q = math.lcm(q, rank)
         if q > cap:
             raise _over_cap(r, cap)
         rows.append((r, q))
     return rows
+
+
+def _sieved_primes(m: int, spf) -> list[int]:
+    """The distinct primes of 1 <= m < len(spf), ascending, read off the sieve."""
+    primes = []
+    while m > 1:
+        p = spf[m]
+        primes.append(p)
+        m //= p
+        while m % p == 0:
+            m //= p
+    return primes
 
 
 def _over_cap(r: int, cap: int) -> BudgetExceededError:
@@ -139,15 +167,26 @@ def psi_of_prime(p: int, k: int = 1) -> int:
     """psi(p^k) for a prime p, by the order algorithm.
 
     Descends from _order_bound(p) p^(k-1), a multiple of psi(p^k), over the
-    primes of _order_bound(p) and, when k > 1, p.  No residues are scanned,
-    so no scan cap applies.  p is not tested for primality: every caller
-    has proved it, by zmod.is_prime, zmod.factor or a sieve.
+    primes of _order_bound(p), from zmod.factor, and, when k > 1, p.  No
+    residues are scanned, so no scan cap applies.  p is not tested for
+    primality: every caller has proved it, by zmod.is_prime, zmod.factor or
+    a sieve.
     """
     bound = _order_bound(p)
-    primes = list(zmod.factor(bound))
-    if k > 1 and p not in primes:
+    return _psi_of_prime_power(p, p**k, bound, zmod.factor(bound))
+
+
+def _psi_of_prime_power(p: int, pk: int, bound: int, bound_primes) -> int:
+    """psi(pk) for a power pk of the prime p, bound = _order_bound(p).
+
+    Descends from bound pk / p over `bound_primes`, the primes of `bound`,
+    and, when pk > p, p itself: the one descent of psi_of_prime and
+    psi_table.
+    """
+    primes = list(bound_primes)
+    if pk > p and p not in primes:
         primes.append(p)
-    return _descend(p**k, bound * p ** (k - 1), primes)
+    return _descend(pk, bound * pk // p, primes)
 
 
 # -- prime statistics ----------------------------------------------------------

@@ -11,9 +11,10 @@ import math
 
 from .config import BudgetExceededError
 
-#: Largest limit primes_up_to sieves to.  The sieve takes a byte per number
-#: plus a Python int per prime found, about 0.3 GB at the ceiling; larger
-#: limits are refused before anything is allocated.
+#: Largest limit primes_up_to and smallest_prime_factors sieve to.  The
+#: prime sieve takes a byte per number plus a Python int per prime found,
+#: about 0.3 GB at the ceiling, and the least-prime-factor sieve 4 bytes per
+#: number, 0.4 GB; larger limits are refused before anything is allocated.
 SIEVE_CEILING = 10**8
 
 #: Miller-Rabin on the first 13 primes as bases (2 to 41) proves primality
@@ -124,6 +125,28 @@ def primes_up_to(limit: int) -> list[int]:
             start = p * p
             sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
     return list(itertools.compress(range(limit + 1), sieve))
+
+
+def smallest_prime_factors(limit: int):
+    """spf with spf[m] the least prime of m for 2 <= m <= limit, m itself when prime.
+
+    spf[0] = 0 and spf[1] = 1.  An array("i") of limit + 1 entries, 4 bytes
+    each; raises BudgetExceededError above SIEVE_CEILING, before allocating.
+    Each prime p <= isqrt(limit), the largest first, writes p over its
+    multiples from p^2, so the least prime of each m is written last.
+    """
+    if limit > SIEVE_CEILING:
+        raise BudgetExceededError(
+            f"sieving least prime factors up to a {decimal_digits(limit)}-digit limit "
+            f"exceeds the sieve ceiling {SIEVE_CEILING}"
+        )
+    from array import array  # deferred: `import turkshead.cli` does not load it
+
+    spf = array("i", range(limit + 1))
+    for p in reversed(primes_up_to(math.isqrt(limit))):
+        start = p * p
+        spf[start::p] = array("i", [p]) * ((limit - start) // p + 1)
+    return spf
 
 
 def first_primes(count: int) -> list[int]:

@@ -224,7 +224,7 @@ class TestImportCost:
     HEAVY = {
         "dataclasses", "inspect", "typing", "ast", "dis",
         "fractions", "decimal", "numbers", "csv", "turkshead.verify",
-        "argparse", "gettext",
+        "argparse", "gettext", "array",
     }
 
     @staticmethod

@@ -39,6 +39,14 @@ def outcome(route, r, cap):
         return str(exc)
 
 
+def sieve_limits(monkeypatch):
+    # the limits asked of zmod.smallest_prime_factors, in order
+    limits = []
+    sieve = zmod.smallest_prime_factors
+    monkeypatch.setattr(zmod, "smallest_prime_factors", lambda limit: limits.append(limit) or sieve(limit))
+    return limits
+
+
 def is_rank_of_apparition(r, q):
     # r | u_{q-1} and no q / l with l a prime of q works; the zero indices
     # are the multiples of psi(r), so q is the least
@@ -113,6 +121,36 @@ class TestOrderRoute:
         # 589 prime powers below 4000 take 2,224 rank tests; one descent
         # per modulus takes 18,486
         assert count_u_mod_calls(monkeypatch, psi.psi_table, 4000) <= 2400
+
+    def test_table_reads_every_factorization_off_the_sieve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"factored {args[0]} by trial division")
+
+        monkeypatch.setattr(zmod, "factor", refuse)
+        monkeypatch.setattr(zmod, "least_prime_factors", refuse)
+        assert len(psi.psi_table(4000)) == 3999
+
+    @pytest.mark.parametrize("max_r, cap, r_last", [(4000, 10**7, 4000), (10**30, 1000, 625)])
+    def test_table_sieve_grows_with_the_walk(self, monkeypatch, max_r, cap, r_last):
+        # the sieve must reach r + 1, and once r + 1 passes it, it is
+        # rebuilt to at most 2r: twice its old end
+        limits = sieve_limits(monkeypatch)
+        outcome(psi.psi_table, max_r, cap)
+        assert limits[0] == 64 and limits == sorted(set(limits))
+        assert all(new <= 2 * old for old, new in zip(limits, limits[1:]))
+        assert limits[-1] >= r_last + 1
+        assert max(limits) <= max(64, 2 * r_last + 2)
+
+    def test_table_past_the_sieve_ceiling_agrees_with_scan(self, monkeypatch):
+        # beyond the ceiling zmod.factor splits r and the order bounds, and
+        # the sieve, built up to the ceiling once, is not rebuilt
+        monkeypatch.setattr(zmod, "SIEVE_CEILING", 1000)
+        limits = sieve_limits(monkeypatch)
+        assert psi.psi_table(4000) == [(r, psi.psi_scan(r).psi) for r in range(2, 4001)]
+        assert limits == [64, 128, 256, 512, 1000]
+        # psi(1250) = 3750 stops a walk that has passed the ceiling
+        with pytest.raises(BudgetExceededError, match=r"^psi\(1250\) not found within the scan cap 3000$"):
+            psi.psi_table(10**30, 3000)
 
 
 class TestPsiOfPrime:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,30 @@ class TestPrimesAndFactors:
     def test_shared_trial_divisors_give_the_same_factors(self, m):
         shared = zmod.primes_up_to(70)  # covers isqrt(5000)
         assert zmod.least_prime_factors(m, shared) == zmod.factor(m)
+
+
+class TestSmallestPrimeFactors:
+    def test_agrees_with_factor_to_5000(self):
+        spf = zmod.smallest_prime_factors(5000)
+        assert len(spf) == 5001
+        for m in range(2, 5001):
+            assert spf[m] == min(zmod.factor(m)), m
+
+    @pytest.mark.parametrize("limit, expected", [(0, [0]), (1, [0, 1]), (2, [0, 1, 2]), (4, [0, 1, 2, 3, 2])])
+    def test_small_limits(self, limit, expected):
+        assert list(zmod.smallest_prime_factors(limit)) == expected
+
+    def test_refused_above_the_ceiling_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(zmod, "SIEVE_CEILING", 1000)
+        assert len(zmod.smallest_prime_factors(1000)) == 1001
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="7-digit limit exceeds the sieve ceiling 1000$"):
+                zmod.smallest_prime_factors(10**6)  # 4 MB if it were built
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def is_prime_by_trial_division(n):
