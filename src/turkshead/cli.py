@@ -375,6 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"turkshead: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        # the last line of defence for an input whose cost no budget bounds
+        print("turkshead: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         print(f"turkshead: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

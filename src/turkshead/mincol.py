@@ -178,7 +178,10 @@ def _estimate_bound(p: int, q: int) -> int:
     5^((p-1)/2) = -1 mod p and (p - 1)/2 otherwise.  An odd q > 1 cannot
     divide both p + 1 and (p - 1)/2, because their gcd divides
     (p + 1) - 2 (p - 1)/2 = 2.  So q | p + 1 exactly when B = p + 1, and
-    then the odd q divides (p + 1)/2; otherwise q divides (p - 1)/2.
+    then the odd q divides (p + 1)/2; otherwise q divides (p - 1)/2.  The
+    Euler-criterion split is the p mod 5 split: 5^((p-1)/2) = -1 mod p
+    exactly when p = +-2 mod 5, by quadratic reciprocity, which is how
+    psi._order_bound reads it.
     """
     if q % 2:
         return (p + 1) // 2 if (p + 1) % q == 0 else (p - 1) // 2

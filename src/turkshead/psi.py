@@ -11,11 +11,12 @@ indices q with r | u_{q-1} are exactly the multiples of psi(r), so psi(r) is
 the lcm of psi(p^k) over the prime powers p^k exactly dividing r, and
 psi(p^k) divides psi(p) p^(k-1) (Wall 1960; Vinson 1963).  For each prime
 power, psi_of_prime descends from that multiple, dividing out each prime
-while p^k still divides the earlier term; each such rank test costs
-O(log p^k).  psi_table walks r = 2, 3, ... on one growing sieve of least
-prime factors, which splits each r and each order bound it needs without
-trial division, and keeps the psi of each prime power it meets for the rest
-of the walk, so every prime power is descended once per table.  The residue
+while p^k still divides the earlier term; each such rank test,
+seq.rank_test, costs one ladder of O(log p^k) steps.  psi_table walks
+r = 2, 3, ... on one growing sieve of least prime factors, which splits each
+r and each order bound it needs without trial division, and keeps the psi
+of each prime power it meets for the rest of the walk, so every prime power
+is descended once per table.  The residue
 scan, psi_scan, is kept as the fallback for moduli that zmod.factor cannot
 factor within its budget, and as the oracle of the tests.
 """
@@ -131,20 +132,29 @@ def psi_scan(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
 
 
 def _order_bound(p: int) -> int:
-    """A multiple of psi(p) for a prime p.
+    """A multiple of psi(p) for a prime p (Wall 1960).
 
-    30 for p = 2 and p = 5; otherwise p + 1 or (p - 1)/2 by the sign of
-    5^((p-1)/2) mod p (Euler's criterion for 5).
+    30 for p = 2 and p = 5.  Otherwise p + 1 when 5 is a quadratic
+    non-residue mod p and (p - 1)/2 when it is a residue.  By quadratic
+    reciprocity (5/p) = (p/5), as 5 = 1 mod 4, and the squares mod 5 are
+    1 and 4; so the sign is read off p mod 5, where Euler's criterion would
+    take 5^((p-1)/2) mod p.  Every caller asserts p | u_{B-1} at the bound
+    B returned here (_check_bound), which certifies the reading at run
+    time.
     """
     if p in (2, 5):
         return 30
-    return p + 1 if pow(5, (p - 1) // 2, p) == p - 1 else (p - 1) // 2
+    return (p - 1) // 2 if p % 5 in (1, 4) else p + 1
+
+
+def _bound_refuted(r: int, bound: int) -> AssertionError:
+    return AssertionError(f"{r} does not divide u_{bound - 1}")
 
 
 def _check_bound(r: int, bound: int) -> None:
     """Assert r | u_{bound-1}: the proof that psi(r) divides `bound`."""
-    if seq.u_mod(bound - 1, r) != 0:
-        raise AssertionError(f"{r} does not divide u_{bound - 1}")
+    if not seq.rank_test(bound, r):
+        raise _bound_refuted(r, bound)
 
 
 def _descend(r: int, bound: int, primes) -> int:
@@ -158,7 +168,7 @@ def _descend(r: int, bound: int, primes) -> int:
     _check_bound(r, bound)
     q = bound
     for ell in primes:
-        while q % ell == 0 and seq.u_mod(q // ell - 1, r) == 0:
+        while q % ell == 0 and seq.rank_test(q // ell, r):
             q //= ell
     return q
 
@@ -210,10 +220,12 @@ def prime_psi_matches(count: int) -> list[bool]:
     every prime and proves psi(p) | B.  Then psi(p) = p + 1 exactly when
     (p + 1) | B, p | u_p, and p does not divide u_{(p+1)/l - 1} for any
     prime l of p + 1; the tests stop at the first l that fails.  So a
-    prime with 5^((p-1)/2) = 1 mod p, whose bound is (p - 1)/2, costs the
-    bound check alone.  The sieve that lists the primes proves them prime,
-    and one list of small primes up to the square root of the largest
-    p + 1 factors every p + 1 that is tested.
+    prime p = +-1 mod 5, whose bound is (p - 1)/2, costs the bound check
+    alone.  When B = p + 1 the bound check and the test at l = 2 share one
+    ladder, seq.rank_tests_halving, and each odd l takes one more.  The
+    sieve that lists the primes proves them prime, and one list of small
+    primes up to the square root of the largest p + 1 factors every p + 1
+    that is tested.
     """
     if count < 1:
         raise ValueError("prime count must be positive")
@@ -227,15 +239,23 @@ def _psi_is_p_plus_1(p: int, small_primes: list[int]) -> bool:
 
     `small_primes` must cover isqrt(p + 1) (see zmod.least_prime_factors).
     """
-    bound = _order_bound(p)
-    _check_bound(p, bound)
-    q = p + 1
-    # when B = p + 1, the bound check has shown p | u_p already
-    if bound % q or (bound != q and seq.u_mod(q - 1, p) != 0):
-        return False
+    bound, q = _order_bound(p), p + 1
+    tested = None  # a prime l of q whose test has run
+    if bound == q:
+        at_half, at_bound = seq.rank_tests_halving(q, p)
+        if not at_bound:
+            raise _bound_refuted(p, bound)
+        if at_half:
+            return False
+        tested = 2
+    else:
+        _check_bound(p, bound)
+        if bound % q or not seq.rank_test(q, p):
+            return False
     return all(
-        seq.u_mod(q // ell - 1, p) != 0
+        not seq.rank_test(q // ell, p)
         for ell in zmod.least_prime_factors(q, small_primes)
+        if ell != tested
     )
 
 

@@ -14,12 +14,27 @@ So u extends to every integer index through the reflection u_n = -u_{-n-2},
 and v satisfies v_n = v_{2-n}; v is only defined from its seeds
 onward, and indices below -3 are rejected.
 
-One Fibonacci fast-doubling core serves exact and modular terms alike:
-`u`/`v` run it over the plain integers, `u_mod`/`v_mod` mod r, each in
-O(log |n|) steps and with no cache of earlier terms.  The recurrence itself
-drives only `u_mod_stream`, the O(1)-state residue stream.  `binet_u`
-evaluates the four-term closed form in floating point, as a cross-check
-only.  The identities u and v satisfy (reflection, sums, products, the u/v
+One ladder serves every term, exact or modular, and every rank test.  It
+climbs V_k = L_{2k}, the even Lucas numbers, by
+
+    V_{2k} = V_k^2 - 2      V_{2k+1} = V_k V_{k+1} - 3
+
+from (V_0, V_1) = (2, 3): two products per bit of k, in O(log k) steps and
+with no cache of earlier terms.  u_{q-1} is F_q for even q and L_q for odd
+q, and with k = q // 2 the pair (V_k, V_{k+1}) gives
+
+    5 F_{2k} = 2 V_{k+1} - 3 V_k
+    L_{2k+1} = V_{k+1} - V_k
+    F_{2k-1} = (4 V_k - V_{k+1}) / 5
+
+`u`/`v` run the ladder over the plain integers.  `u_mod`/`v_mod` and
+`rank_test` run it mod 5r, not mod r: then r | F_{2k} exactly when 5r
+divides 2 V_{k+1} - 3 V_k, for every r >= 2 with 5 | r or not, and the
+class of F_{2k} mod r is the exact quotient ((2 V_{k+1} - 3 V_k) mod 5r) / 5.
+The recurrence itself drives only `u_mod_stream`, the O(1)-state residue
+stream, which is also the ladder's oracle in the tests.  `binet_u` evaluates
+the four-term closed form in floating point, as a cross-check only.  The
+identities u and v satisfy (reflection, sums, products, the u/v
 factorization of block powers) are checked in one place, the `identities`
 suite of turkshead.verify.
 """
@@ -32,37 +47,70 @@ from collections.abc import Iterator
 from .zmod import check_modulus
 
 
-def _fib_pair(m: int, r: int | None) -> tuple[int, int]:
-    """(F_m, F_{m+1}) for m >= 0 by fast doubling, exact (r=None) or mod r.
+def _ladder(bits: str, m: int | None, a: int = 2, b: int = 3) -> tuple[int, int]:
+    """Climb from (a, b) = (V_j, V_{j+1}), exact (m=None) or mod m.
 
-    F_{2k} = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2.
-    The leading bit of m takes (F_0, F_1) to (F_1, F_2) = (1, 1), so the
-    loop starts there.
+    Each bit c takes j to 2j + c, so from the default j = 0 the bits of
+    k, bin(k)[2:], give (V_k, V_{k+1}) for any k >= 0.
     """
-    if m == 0:
-        return 0, 1
-    a, b = 1, 1
-    if r is None:
-        for bit in bin(m)[3:]:
-            a, b = a * (2 * b - a), a * a + b * b
+    if m is None:
+        for bit in bits:
             if bit == "1":
-                a, b = b, a + b
+                a, b = a * b - 3, b * b - 2
+            else:
+                a, b = a * a - 2, a * b - 3
         return a, b
-    for bit in bin(m)[3:]:
-        a, b = a * (2 * b - a) % r, (a * a + b * b) % r
+    for bit in bits:
         if bit == "1":
-            a, b = b, (a + b) % r
+            a, b = (a * b - 3) % m, (b * b - 2) % m
+        else:
+            a, b = (a * a - 2) % m, (a * b - 3) % m
     return a, b
+
+
+def _is_zero(q: int, a: int, b: int, r: int) -> bool:
+    """Whether r | u_{q-1}, from (a, b) = (V_k, V_{k+1}) mod 5r, k = q // 2."""
+    if q % 2:
+        return (b - a) % r == 0  # L_q = V_{k+1} - V_k
+    return (2 * b - 3 * a) % (5 * r) == 0  # 5 F_q = 2 V_{k+1} - 3 V_k
+
+
+def rank_test(q: int, r: int) -> bool:
+    """Whether r | u_{q-1}, for q >= 0 and a modulus r the caller has checked.
+
+    The zero indices q are the multiples of psi(r), so this is the test of
+    the order algorithm; it compares the ladder's residues and never forms
+    the term.
+    """
+    a, b = _ladder(bin(q // 2)[2:], 5 * r)
+    return _is_zero(q, a, b, r)
+
+
+def rank_tests_halving(q: int, r: int) -> tuple[bool, bool]:
+    """(r | u_{q/2-1}, r | u_{q-1}) for q divisible by 2, from one ladder.
+
+    The ladder climbs every bit of q/2 but the last, to q // 4, for the
+    test at q/2, then the last bit, to q/2, for the test at q.
+    """
+    m, half = 5 * r, q // 2
+    bits = bin(half)[2:]
+    a, b = _ladder(bits[:-1], m)
+    at_half = _is_zero(half, a, b, r)
+    a, b = _ladder(bits[-1], m, a, b)
+    return at_half, _is_zero(q, a, b, r)
 
 
 def _u_term(n: int, r: int | None) -> int:
     """u_n exactly (r=None), or a representative of its class mod r."""
     if n < -1:
         return -_u_term(-n - 2, r)  # u_n = -u_{-n-2}
-    f_next, f_after = _fib_pair(n + 1, r)
-    if n % 2:
-        return f_next  # u_n = F_{n+1}
-    return 2 * f_after - f_next  # u_n = L_{n+1} = F_n + F_{n+2}
+    q = n + 1
+    m = None if r is None else 5 * r
+    a, b = _ladder(bin(q // 2)[2:], m)
+    if q % 2:
+        return b - a  # u_{q-1} = L_q
+    f5 = 2 * b - 3 * a  # 5 F_q
+    return (f5 if m is None else f5 % m) // 5
 
 
 def _v_term(n: int, r: int | None) -> int:
@@ -71,10 +119,12 @@ def _v_term(n: int, r: int | None) -> int:
         raise ValueError(f"v_n is only defined for n >= -3, got {n}")
     if n < 1:
         n = 2 - n  # v_n = v_{2-n}
-    f_prev, f_n = _fib_pair(n - 1, r)
+    m = None if r is None else 5 * r
+    a, b = _ladder(bin(n // 2)[2:], m)
     if n % 2:
-        return 2 * f_n - f_prev  # v_n = L_{n-1} = F_{n-2} + F_n
-    return f_prev  # v_n = F_{n-1}
+        return a  # v_n = L_{n-1} = V_{(n-1)/2}
+    f5 = 4 * a - b  # 5 v_n = 5 F_{n-1}
+    return (f5 if m is None else f5 % m) // 5
 
 
 def u(n: int) -> int:

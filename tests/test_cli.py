@@ -147,6 +147,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "--psi-cap", "100", "psi", "150")
         assert code == 2 and "budget" in err
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhaust(args, config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "construct", (exhaust, *cli._COMMANDS["construct"][1:]))
+        code, out, err = run(capsys, "construct", "7")
+        assert code == 2 and out == "" and err == "turkshead: out of memory\n"
+        assert "Traceback" not in err
+
     def test_det_too_long_to_print_exits_2(self, capsys):
         # 4,300 digits is CPython's default integer string limit
         assert run(capsys, "det", "10287")[0] == 0

@@ -120,7 +120,7 @@ class TestOrderRoute:
     def test_table_descends_each_prime_power_once(self, monkeypatch):
         # 589 prime powers below 4000 take 2,224 rank tests; one descent
         # per modulus takes 18,486
-        assert count_u_mod_calls(monkeypatch, psi.psi_table, 4000) <= 2400
+        assert count_rank_tests(monkeypatch, psi.psi_table, 4000) <= 2400
 
     def test_table_reads_every_factorization_off_the_sieve(self, monkeypatch):
         def refuse(*args):
@@ -215,6 +215,15 @@ class TestOrderBound:
         # psi(p) divides the bound, so p | u_{bound - 1}
         for p in zmod.primes_up_to(10**4):
             assert seq.u_mod(psi._order_bound(p) - 1, p) == 0
+
+    def test_sign_is_eulers_criterion_for_every_prime_below_1e5(self):
+        # the bound reads (5/p) off p mod 5; Euler's criterion takes it from
+        # 5^((p-1)/2) mod p
+        for p in zmod.primes_up_to(10**5):
+            if p in (2, 5):
+                continue
+            residue = pow(5, (p - 1) // 2, p) == 1
+            assert psi._order_bound(p) == ((p - 1) // 2 if residue else p + 1)
 
 
 class TestPrimeBranch:
@@ -317,15 +326,17 @@ class TestPrimeStats:
             psi.prime_psi_stats(0)
 
 
-def count_u_mod_calls(monkeypatch, run, *args):
+def count_rank_tests(monkeypatch, run, *args):
+    """Ladder runs of the rank tests: one per seq.rank_test or seq.rank_tests_halving."""
     calls = []
-    u_mod = seq.u_mod
+    for name in ("rank_test", "rank_tests_halving"):
+        test = getattr(seq, name)
 
-    def counted(n, r):
-        calls.append((n, r))
-        return u_mod(n, r)
+        def counted(q, r, test=test):
+            calls.append((q, r))
+            return test(q, r)
 
-    monkeypatch.setattr(seq, "u_mod", counted)
+        monkeypatch.setattr(seq, name, counted)
     run(*args)
     return len(calls)
 
@@ -337,14 +348,17 @@ class TestPrimeSweepCertificate:
     # the scan for every prime below 3,000
 
     def test_rank_tests_in_the_paper_sweep(self, monkeypatch):
-        # descending to psi(p) for every prime takes 42,108 calls
-        assert count_u_mod_calls(monkeypatch, psi.prime_psi_matches, 10000) <= 24200
+        # 19,100 ladders: 14,077 single and 5,023 that share the bound check
+        # with the test at l = 2; descending to psi(p) for every prime takes
+        # 42,108
+        assert count_rank_tests(monkeypatch, psi.prime_psi_matches, 10000) <= 19200
 
     def test_plus_one_sign_costs_only_the_bound_check(self, monkeypatch):
-        # 11 is the fifth prime and 5 = 4^2 mod 11, so its bound is 5
-        assert pow(5, 5, 11) == 1
+        # 11 is the fifth prime and 11 = 1 mod 5, so 5 is a square mod 11
+        # and its bound is 5
+        assert 11 % 5 == 1
         sweep = psi.prime_psi_matches
-        assert count_u_mod_calls(monkeypatch, sweep, 5) - count_u_mod_calls(monkeypatch, sweep, 4) == 1
+        assert count_rank_tests(monkeypatch, sweep, 5) - count_rank_tests(monkeypatch, sweep, 4) == 1
 
     def test_bound_check_is_kept(self, monkeypatch):
         # 7 does not divide u_6 (psi(7) = 8), so a bound of 7 must be refuted
@@ -353,6 +367,15 @@ class TestPrimeSweepCertificate:
             psi, "_order_bound", lambda p: 7 if p == 7 else order_bound(p)
         )
         with pytest.raises(AssertionError, match="7 does not divide u_6"):
+            psi.prime_psi_matches(10)
+
+    def test_shared_ladder_asserts_the_bound(self, monkeypatch):
+        # 7 = 2 mod 5 has the bound 8 = 7 + 1, checked on the shared ladder
+        halving = seq.rank_tests_halving
+        monkeypatch.setattr(
+            seq, "rank_tests_halving", lambda q, r: (False, False) if r == 7 else halving(q, r)
+        )
+        with pytest.raises(AssertionError, match="^7 does not divide u_7$"):
             psi.prime_psi_matches(10)
 
 
