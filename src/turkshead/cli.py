@@ -120,17 +120,42 @@ def cmd_psi(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+#: Rows of psi-table formatted by one `%` and written by one call.
+_PSI_BLOCK = 1 << 14
+
+#: psi-table layout by output format: one row, the row separator, the tail.
+#: Each gives the bytes of print(f"psi({r}) = {q}") per row, of csv.writer,
+#: and of json.dumps({"max": max, "psi": {"2": ..., ...}}), in that order.
+_PSI_LAYOUT = {
+    "plain": ("psi(%d) = %d", "\n", "\n"),
+    "csv": ("%d,%d", "\n", "\n"),
+    "json": ('"%d": %d', ", ", "}}\n"),
+}
+
+
 def cmd_psi_table(args, config: RunConfig) -> int:
     if args.max_r < 2:
         raise ValueError("--max must be at least 2")
-    values = psi_table(args.max_r, config.psi_scan_cap)
+    table = psi_table(args.max_r, config.psi_scan_cap)
+    row, sep, tail = _PSI_LAYOUT[config.output_format]
+    write = sys.stdout.write
     if config.output_format == "json":
-        _emit_json({"max": args.max_r, "psi": {str(r): q for r, q in values}})
-    elif config.output_format == "csv":
-        _emit_csv(values)
-    else:
-        for r, q in values:
-            print(f"psi({r}) = {q}")
+        write(f'{{"max": {args.max_r}, "psi": {{')
+    end = len(table)
+    size = min(_PSI_BLOCK, end - 2)
+    flat = [0] * (2 * size)  # r, psi(r), r + 1, ... for one block
+    block = sep.join([row] * size)
+    for start in range(2, end, size):
+        stop = min(start + size, end)
+        if stop - start < size:  # the last block is short
+            del flat[2 * (stop - start):]
+            block = sep.join([row] * (stop - start))
+        flat[::2] = range(start, stop)
+        flat[1::2] = table[start:stop]
+        if start > 2:
+            write(sep)
+        write(block % tuple(flat))
+    write(tail)
     return EXIT_OK
 
 

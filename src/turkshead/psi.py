@@ -12,11 +12,12 @@ the lcm of psi(p^k) over the prime powers p^k exactly dividing r, and
 psi(p^k) divides psi(p) p^(k-1) (Wall 1960; Vinson 1963).  For each prime
 power, psi_of_prime descends from that multiple, dividing out each prime
 while p^k still divides the earlier term; each such rank test,
-seq.rank_test, costs one ladder of O(log p^k) steps.  psi_table walks
-r = 2, 3, ... on one growing sieve of least prime factors, which splits each
-r and each order bound it needs without trial division, and keeps the psi
-of each prime power it meets for the rest of the walk, so every prime power
-is descended once per table.  The residue
+seq.rank_test, costs one ladder of O(log p^k) steps, and an even bound
+shares its ladder with the test at half of it.  psi_table walks
+r = 2, 3, ... with one lcm per modulus, psi(r) = lcm(psi(p^k), psi(r / p^k))
+for the least prime p of r, read off the rows it has built; a growing
+sieve of least prime factors gives p and splits each order bound without
+trial division, and only the prime powers are descended.  The residue
 scan, psi_scan, is kept as the fallback for moduli that zmod.factor cannot
 factor within its budget, and as the oracle of the tests.
 """
@@ -56,47 +57,52 @@ def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
     return PsiValue(r, q, q)
 
 
-def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> list[tuple[int, int]]:
-    """[(r, psi(r)) for 2 <= r <= max_r], ascending, as psi(r, cap) gives each.
+def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP):
+    """psi(r) at index r for 2 <= r <= max_r, as psi(r, cap) gives each.
 
-    Every factorization comes from one sieve of least prime factors,
-    zmod.smallest_prime_factors: each r splits into its prime powers p^k by
-    repeated lookups, and a new p^k is descended once, over the primes of
-    its order bound read off the same sieve, and kept for the rest of this
-    call.  The sieve must reach r + 1, the bound of a prime r; it starts at
-    64, past the bound 30 of p = 2 and 5, and once r + 1 passes its end it
-    is rebuilt to min(2r, max_r + 1), so a walk that stops early never
-    sieves for the end of the range.  It stops growing at the sieve
-    ceiling, and beyond it zmod.factor splits what the sieve cannot.  At
-    the first r whose psi exceeds `cap` the walk stops with the error
-    psi(r, cap) raises there.
+    An array("q") of max_r + 1 entries, 8 bytes each, with 0 and 1 at
+    indices 0 and 1.  Each r takes one step: with p its least prime and p^k
+    the power of p that exactly divides it, psi(r) = lcm(psi(p^k),
+    psi(r / p^k)), both read off the rows already built when p^k < r.
+    p^k itself comes from a second array of the same shape, the power of
+    the least prime in each r: p part[r / p] when p divides r / p, else p.
+    Only a prime power r = p^k is descended, over the primes of its order
+    bound, so each prime power is descended once per table.
+
+    p comes from one sieve of least prime factors,
+    zmod.smallest_prime_factors, which also splits the order bounds.  The
+    sieve must reach r + 1, the bound of a prime r; it starts at 64, past
+    the bound 30 of p = 2 and 5, and once r + 1 passes its end it is
+    rebuilt to min(2r, max_r + 1), so a walk that stops early never sieves
+    for the end of the range.  It stops growing at the sieve ceiling, and
+    beyond it zmod.factor splits what the sieve cannot.  At the first r
+    whose psi exceeds `cap` the walk stops with the error psi(r, cap)
+    raises there.
     """
+    from array import array  # deferred: `import turkshead.cli` does not load it
+
     limit, spf = 64, zmod.smallest_prime_factors(64)
-    ranks: dict[int, int] = {}  # psi(p^k) by p^k
-    rows = []
+    table = array("q", (0, 1))  # psi(r)
+    part = array("q", (0, 1))  # the power of the least prime of r that exactly divides r
     for r in range(2, max_r + 1):
         if r + 1 > limit:
             grown = min(2 * r, max_r + 1, zmod.SIEVE_CEILING)
             if grown > limit:
                 limit, spf = grown, zmod.smallest_prime_factors(grown)
-        x, q = r, 1
-        while x > 1:
-            p = spf[x] if x <= limit else min(zmod.factor(x))
-            x //= p
-            pk = p
-            while x % p == 0:
-                x //= p
-                pk *= p
-            rank = ranks.get(pk)
-            if rank is None:
-                bound = _order_bound(p)
-                primes = _sieved_primes(bound, spf) if bound <= limit else zmod.factor(bound)
-                rank = ranks[pk] = _psi_of_prime_power(p, pk, bound, primes)
-            q = math.lcm(q, rank)
+        p = spf[r] if r <= limit else min(zmod.factor(r))
+        rest = r // p
+        pk = p * part[rest] if rest % p == 0 else p
+        part.append(pk)
+        if pk < r:
+            q = math.lcm(table[pk], table[r // pk])
+        else:
+            bound = _order_bound(p)
+            primes = _sieved_primes(bound, spf) if bound <= limit else zmod.factor(bound)
+            q = _psi_of_prime_power(p, pk, bound, primes)
         if q > cap:
             raise _over_cap(r, cap)
-        rows.append((r, q))
-    return rows
+        table.append(q)
+    return table
 
 
 def _sieved_primes(m: int, spf) -> list[int]:
@@ -163,13 +169,24 @@ def _descend(r: int, bound: int, primes) -> int:
     r | u_{bound-1} is asserted; since the indices q with r | u_{q-1} are
     exactly the multiples of psi(r), each prime l of bound (from `primes`,
     which must include them all) is then divided out for as long as
-    r | u_{q/l - 1} still holds.
+    r | u_{q/l - 1} still holds.  When the bound is even, the bound check
+    and the test at bound/2 share one ladder, seq.rank_tests_halving.
     """
-    _check_bound(r, bound)
-    q = bound
+    q, tested = bound, None  # a prime l of bound whose test has run
+    if bound % 2:
+        _check_bound(r, bound)
+    else:
+        at_half, at_bound = seq.rank_tests_halving(bound, r)
+        if not at_bound:
+            raise _bound_refuted(r, bound)
+        if at_half:
+            q //= 2
+        else:
+            tested = 2
     for ell in primes:
-        while q % ell == 0 and seq.rank_test(q // ell, r):
-            q //= ell
+        if ell != tested:
+            while q % ell == 0 and seq.rank_test(q // ell, r):
+                q //= ell
     return q
 
 

@@ -110,7 +110,7 @@ def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
 
 def suite_psi_table(config: RunConfig) -> list[CheckResult]:
     # the table psi-table prints, one row per reference cell
-    computed = dict(psi_table(max(PSI_REFERENCE), config.psi_scan_cap))
+    computed = psi_table(max(PSI_REFERENCE), config.psi_scan_cap)
     failures = []
     for r, published in sorted(PSI_REFERENCE.items()):
         expected = PSI_REFERENCE_ERRATA.get(r, published)

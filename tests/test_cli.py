@@ -1,5 +1,7 @@
 import contextlib
+import csv
 import doctest
+import functools
 import io
 import json
 import os
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import turkshead
 from turkshead import cli, psi, seq, zmod
+from turkshead.config import BudgetExceededError
 from turkshead.cli import main
 
 
@@ -204,6 +207,77 @@ class TestDeterminism:
         _, second, _ = run(capsys, "verify", "mincol-exact")
         assert code == 0 and first == second and "s]" not in first
         assert err.startswith("turkshead: verify mincol-exact took ")
+
+
+@functools.cache
+def _psi(r, cap):
+    return psi.psi(r, cap).psi
+
+
+def psi_table_the_old_way(fmt, max_r, cap):
+    """(exit code, stdout, stderr) of psi-table as it was printed from a list of rows.
+
+    Each row is psi(r, cap); the whole table was formatted by json.dumps
+    of a dict, by csv.writer or by one f-string line per row, and a walk
+    stopped by the cap printed nothing.
+    """
+    if max_r < 2:
+        return 1, "", "turkshead: error: --max must be at least 2\n"
+    rows = []
+    for r in range(2, max_r + 1):
+        try:
+            rows.append((r, _psi(r, cap)))
+        except BudgetExceededError as exc:
+            return 2, "", f"turkshead: budget exceeded: {exc}\n"
+    if fmt == "json":
+        return 0, json.dumps({"max": max_r, "psi": {str(r): q for r, q in rows}}) + "\n", ""
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return 0, out.getvalue(), ""
+    return 0, "".join(f"psi({r}) = {q}\n" for r, q in rows), ""
+
+
+class TestPsiTableOutput:
+    # the table is written in blocks of 2^14 rows straight from the array
+    # psi.psi_table returns, with the bytes the old formatting gave
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_same_bytes_as_the_old_way(self, capsys, fmt):
+        sizes = [*range(301), 4000, 2**14 - 1, 2**14, 2**14 + 1, 2**14 + 2]
+        for max_r in sizes:
+            got = run(capsys, "-f", fmt, "psi-table", "--max", str(max_r))
+            assert got == psi_table_the_old_way(fmt, max_r, 10**7), max_r
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("max_r, cap", [(4000, 2), (4000, 299), (4000, 1000), (10**30, 3000)])
+    def test_cap_stop_prints_nothing(self, capsys, fmt, max_r, cap):
+        got = run(capsys, "-f", fmt, "--psi-cap", str(cap), "psi-table", "--max", str(max_r))
+        assert got == psi_table_the_old_way(fmt, max_r, cap)
+        assert got[0] == 2 and got[1] == ""
+
+    def test_million_rows_in_bounded_memory(self):
+        # the table is two arrays of 8 bytes per modulus and the sieve 4;
+        # holding every row as a tuple and a string peaked at 157 MB
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        parent = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'turkshead.cli', *sys.argv[1:]], check=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(f'peak_kb={peak}', file=sys.stderr)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", parent, "-f", "csv", "psi-table", "--max", "1000000"],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0
+        lines = done.stdout.splitlines()
+        assert len(lines) == 999_999 and lines[0] == "2,3"
+        assert lines[-1] == f"1000000,{psi.psi(10**6).psi}"
+        assert int(done.stderr.split("peak_kb=")[1]) < 80 * 1024
 
 
 class TestPublicNames:

@@ -100,16 +100,21 @@ class TestOrderRoute:
         assert outcome(psi.psi, r, cap) == outcome(psi.psi_scan, r, cap)
 
     def test_table_agrees_with_scan_for_every_modulus_to_4000(self):
-        assert psi.psi_table(4000) == [(r, psi.psi_scan(r).psi) for r in range(2, 4001)]
+        table = psi.psi_table(4000)
+        assert list(table[:2]) == [0, 1]
+        assert list(table)[2:] == [psi.psi_scan(r).psi for r in range(2, 4001)]
 
     @pytest.mark.parametrize("cap", [2, 3, 4, 10, 100, 299, 300, 1000, 8000])
     def test_table_raises_exactly_when_the_loop_does(self, cap):
         # the table stops at the first r whose psi exceeds the cap, with the
         # error psi(r, cap) raises there
         def loop(max_r, cap):
-            return [(r, psi.psi(r, cap).psi) for r in range(2, max_r + 1)]
+            return [psi.psi(r, cap).psi for r in range(2, max_r + 1)]
 
-        assert outcome(psi.psi_table, 4000, cap) == outcome(loop, 4000, cap)
+        def table(max_r, cap):
+            return list(psi.psi_table(max_r, cap))[2:]
+
+        assert outcome(table, 4000, cap) == outcome(loop, 4000, cap)
 
     def test_table_sieves_only_as_far_as_it_walks(self):
         # psi(625) = 1250 stops the walk; a sieve to isqrt(10^30) would
@@ -118,9 +123,29 @@ class TestOrderRoute:
             psi.psi_table(10**30, 1000)
 
     def test_table_descends_each_prime_power_once(self, monkeypatch):
-        # 589 prime powers below 4000 take 2,224 rank tests; one descent
+        # 589 prime powers below 4000 take 1,780 ladders, 2,224 when the
+        # bound check of an even bound had a ladder of its own; one descent
         # per modulus takes 18,486
-        assert count_rank_tests(monkeypatch, psi.psi_table, 4000) <= 2400
+        assert count_rank_tests(monkeypatch, psi.psi_table, 4000) <= 1800
+
+    def test_psi_shares_the_ladder_of_an_even_bound(self, monkeypatch):
+        # psi(r) for every r <= 3000 takes 17,414 ladders, 23,237 when the
+        # bound check had a ladder of its own
+        def run():
+            for r in range(2, 3001):
+                psi.psi(r)
+
+        assert count_rank_tests(monkeypatch, run) <= 17500
+
+    @pytest.mark.parametrize("route", [psi.psi_of_prime, psi.psi_table])
+    def test_shared_ladder_asserts_an_even_bound(self, monkeypatch, route):
+        # 7 = 2 mod 5 has the even bound 8, checked on the shared ladder
+        halving = seq.rank_tests_halving
+        monkeypatch.setattr(
+            seq, "rank_tests_halving", lambda q, r: (False, False) if r == 7 else halving(q, r)
+        )
+        with pytest.raises(AssertionError, match="^7 does not divide u_7$"):
+            route(7)
 
     def test_table_reads_every_factorization_off_the_sieve(self, monkeypatch):
         def refuse(*args):
@@ -128,7 +153,7 @@ class TestOrderRoute:
 
         monkeypatch.setattr(zmod, "factor", refuse)
         monkeypatch.setattr(zmod, "least_prime_factors", refuse)
-        assert len(psi.psi_table(4000)) == 3999
+        assert len(psi.psi_table(4000)) == 4001
 
     @pytest.mark.parametrize("max_r, cap, r_last", [(4000, 10**7, 4000), (10**30, 1000, 625)])
     def test_table_sieve_grows_with_the_walk(self, monkeypatch, max_r, cap, r_last):
@@ -146,7 +171,7 @@ class TestOrderRoute:
         # the sieve, built up to the ceiling once, is not rebuilt
         monkeypatch.setattr(zmod, "SIEVE_CEILING", 1000)
         limits = sieve_limits(monkeypatch)
-        assert psi.psi_table(4000) == [(r, psi.psi_scan(r).psi) for r in range(2, 4001)]
+        assert list(psi.psi_table(4000))[2:] == [psi.psi_scan(r).psi for r in range(2, 4001)]
         assert limits == [64, 128, 256, 512, 1000]
         # psi(1250) = 3750 stops a walk that has passed the ceiling
         with pytest.raises(BudgetExceededError, match=r"^psi\(1250\) not found within the scan cap 3000$"):
