@@ -1,5 +1,29 @@
-from turkshead import psi, verify
+import hashlib
+
+import pytest
+
+from turkshead import cli, psi, verify
 from turkshead.config import RunConfig
+
+#: sha256 of `turkshead verify <suite>` stdout, check ids and details included
+SUITE_DIGESTS = {
+    "formula-oracle": "3935737899d653219273119452d2f8ee71f4e4bfea6edde25941399022c50fb4",
+    "mincol-exact": "21cb01c98e8e942a398a851070cb5bd5cf9dc7adf8bf7e6677a973b9bdf94c34",
+    "odd-constructions": "16323a48783abc79b16b4b64c3fe0a0b9c355269ed39a673b4691f2a92bff8c1",
+    "even-constructions": "356cb6bd106721bcd3eb6429c9bb6afeb4ff17914643be2c9cf534a7c678f1a1",
+    "identities": "9ac3c3bfd939ee024457757798160d38d5764bbb8a34e7d23fce67ef13173cb8",
+    "nonsplit": "ee5a822e59dfb7f622cc2dcd5ca8d7df0813802791e3b13a2242c08ee32ee029",
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_DIGESTS)
+def test_suite_stdout_digest(capsys, suite):
+    # Byte-identity guard on the suites that run on the oracles; a change
+    # that means to alter a check updates its digest and says so in
+    # CHANGES.md.
+    assert cli.main(["verify", suite]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite]
 
 
 class TestColorUsage:
