@@ -27,21 +27,19 @@ q, and with k = q // 2 the pair (V_k, V_{k+1}) gives
     L_{2k+1} = V_{k+1} - V_k
     F_{2k-1} = (4 V_k - V_{k+1}) / 5
 
-`u`/`v` run the ladder over the plain integers.  `u_mod`/`v_mod` and
-`rank_test` run it mod 5r, not mod r: then r | F_{2k} exactly when 5r
-divides 2 V_{k+1} - 3 V_k, for every r >= 2 with 5 | r or not, and the
-class of F_{2k} mod r is the exact quotient ((2 V_{k+1} - 3 V_k) mod 5r) / 5.
-The recurrence itself drives only `u_mod_stream`, the O(1)-state residue
-stream, which is also the ladder's oracle in the tests.  `binet_u` evaluates
-the four-term closed form in floating point, as a cross-check only.  The
+`u`/`v` run the ladder over the plain integers.  `u_mod` and `rank_test`
+run it mod 5r, not mod r: then r | F_{2k} exactly when 5r divides
+2 V_{k+1} - 3 V_k, for every r >= 2 with 5 | r or not, and the class of
+F_{2k} mod r is the exact quotient ((2 V_{k+1} - 3 V_k) mod 5r) / 5.  The
+recurrence itself drives only `u_mod_stream`, the O(1)-state residue
+stream, which the tests and turkshead.verify hold the ladder against.  The
 identities u and v satisfy (reflection, sums, products, the u/v
-factorization of block powers) are checked in one place, the `identities`
-suite of turkshead.verify.
+factorization of block powers, the closed form) are checked in one place,
+the `identities` suite of turkshead.verify.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 from .zmod import check_modulus
@@ -113,20 +111,6 @@ def _u_term(n: int, r: int | None) -> int:
     return (f5 if m is None else f5 % m) // 5
 
 
-def _v_term(n: int, r: int | None) -> int:
-    """v_n exactly (r=None), or a representative of its class mod r."""
-    if n < -3:
-        raise ValueError(f"v_n is only defined for n >= -3, got {n}")
-    if n < 1:
-        n = 2 - n  # v_n = v_{2-n}
-    m = None if r is None else 5 * r
-    a, b = _ladder(bin(n // 2)[2:], m)
-    if n % 2:
-        return a  # v_n = L_{n-1} = V_{(n-1)/2}
-    f5 = 4 * a - b  # 5 v_n = 5 F_{n-1}
-    return (f5 if m is None else f5 % m) // 5
-
-
 def u(n: int) -> int:
     """Exact value of u_n for any integer n."""
     return _u_term(n, None)
@@ -134,17 +118,19 @@ def u(n: int) -> int:
 
 def v(n: int) -> int:
     """Exact value of v_n for n >= -3 (indices below the seeds are undefined)."""
-    return _v_term(n, None)
+    if n < -3:
+        raise ValueError(f"v_n is only defined for n >= -3, got {n}")
+    if n < 1:
+        n = 2 - n  # v_n = v_{2-n}
+    a, b = _ladder(bin(n // 2)[2:], None)
+    if n % 2:
+        return a  # v_n = L_{n-1} = V_{(n-1)/2}
+    return (4 * a - b) // 5  # 5 v_n = 5 F_{n-1}
 
 
 def u_mod(n: int, r: int) -> int:
     """u_n mod r in O(log |n|) time, for any integer n."""
     return _u_term(n, check_modulus(r)) % r
-
-
-def v_mod(n: int, r: int) -> int:
-    """v_n mod r in O(log n) time, n >= -3."""
-    return _v_term(n, check_modulus(r)) % r
 
 
 def u_mod_stream(r: int) -> Iterator[int]:
@@ -155,23 +141,3 @@ def u_mod_stream(r: int) -> Iterator[int]:
         yield w3
         w0, w1, w2, w3 = w1, w2, w3, (3 * w2 - w0) % r
 
-
-# -- closed form --------------------------------------------------------------
-
-_BINET_MAX_INDEX = 60
-
-
-def binet_u(n: int) -> float:
-    """Floating evaluation of the four-term closed form for u_n.
-
-    Only a cross-check against the exact path; |n| is capped to stay well
-    inside double range.
-    """
-    if abs(n) > _BINET_MAX_INDEX:
-        raise ValueError(f"binet_u limited to |n| <= {_BINET_MAX_INDEX}, got {n}")
-    s5 = math.sqrt(5.0)
-    phi = (1.0 + s5) / 2.0
-    phi_inv = (-1.0 + s5) / 2.0
-    psi = (1.0 - s5) / 2.0
-    psi_neg = (-1.0 - s5) / 2.0
-    return (phi ** (n + 2) - phi_inv**n - psi ** (n + 2) + psi_neg**n) / s5

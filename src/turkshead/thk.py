@@ -1,5 +1,5 @@
-"""Standard diagrams of THK(3, n): color propagation, transfer matrices,
-exhaustive coloring enumeration, and the standard-diagram palette search.
+"""Standard diagrams of THK(3, n): the block map, closed colorings and the
+standard-diagram palette search.
 
 A coloring state is a triple (a, b, c) of residues read left-to-right across
 the three strands at one horizontal level of the braid; one crossing block
@@ -11,7 +11,9 @@ the two sides, so no result depends on which side is drawn on the left.
 
 The standard diagram with n blocks has 2n crossings and 2n arcs; the arc
 colors are exactly the first and third coordinates over levels 0..n-1, since
-the middle strand only repeats first-coordinate colors.
+the middle strand only repeats first-coordinate colors.  The block matrices
+and the exhaustive enumeration that these paths are checked against live in
+turkshead.verify.
 """
 
 from __future__ import annotations
@@ -25,122 +27,7 @@ from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError
 from .zmod import check_modulus
 
 Triple = tuple[int, int, int]
-Matrix = tuple[tuple[int, int, int], ...]
 
-#: One sigma2 * sigma1^{-1} block as a linear map on strand colors.
-C_BLOCK: Matrix = ((2, 0, -1), (1, 0, 0), (0, -1, 2))
-
-#: Exact inverse of C_BLOCK (its determinant is 1).
-C_BLOCK_INV: Matrix = ((0, 1, 0), (-2, 4, -1), (-1, 2, 0))
-
-
-def _block_step(t: Triple, r: int | None) -> Triple:
-    """One block step with r already checked (or None for the integers)."""
-    a, b, c = t
-    if r is None:
-        return (2 * a - c, a, 2 * c - b)
-    return ((2 * a - c) % r, a % r, (2 * c - b) % r)
-
-
-def propagate(t: Triple, r: int | None, n: int) -> list[Triple]:
-    """Trace of n block steps: n+1 levels starting from t."""
-    if n < 0:
-        raise ValueError("trace length must be nonnegative")
-    if r is not None:
-        check_modulus(r)
-        t = (t[0] % r, t[1] % r, t[2] % r)
-    out = [t]
-    for _ in range(n):
-        out.append(_block_step(out[-1], r))
-    return out
-
-
-# -- transfer matrices --------------------------------------------------------
-
-def _mat_mul(a: Matrix, b: Matrix, r: int | None = None) -> Matrix:
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s = a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            row.append(s if r is None else s % r)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def c_power_iterated(n: int, r: int | None = None) -> Matrix:
-    """n-th power of the block matrix by plain repeated multiplication.
-
-    This is the oracle-side path: it never touches the closed-form entries,
-    so the two can be checked against each other.  Negative powers fold in
-    the exact integer inverse.
-    """
-    base = C_BLOCK if n >= 0 else C_BLOCK_INV
-    result: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for _ in range(abs(n)):
-        result = _mat_mul(result, base, r)
-    if r is not None:
-        result = tuple(tuple(x % r for x in row) for row in result)
-    return result
-
-
-def matrix_entry_a(n: int, r: int | None = None) -> int:
-    """Top-left entry a_n of the n-th block-matrix power, exact or mod r.
-
-    a_n = u_n v_n for n >= -3.  Below the v seeds, a_{-m} is the top-left
-    cofactor of the m-th power (its determinant is 1, so its inverse is its
-    adjugate): a_{-m} = a_m b_{m-1} - a_{m-1} b_m.
-    """
-    if n >= -3:
-        if r is None:
-            return seq.u(n) * seq.v(n)
-        return seq.u_mod(n, r) * seq.v_mod(n, r) % r
-    m = -n
-    value = (
-        matrix_entry_a(m, r) * matrix_entry_b(m - 1, r)
-        - matrix_entry_a(m - 1, r) * matrix_entry_b(m, r)
-    )
-    return value if r is None else value % r
-
-
-def matrix_entry_b(n: int, r: int | None = None) -> int:
-    """Entry b_n = u_{n-2} u_{n-1} of the n-th block-matrix power, exact or mod r."""
-    if r is None:
-        return seq.u(n - 2) * seq.u(n - 1)
-    return seq.u_mod(n - 2, r) * seq.u_mod(n - 1, r) % r
-
-
-def transfer_matrix(n: int, r: int | None = None) -> Matrix:
-    """The n-th power of the block matrix, from its closed form.
-
-    Entries are [[a_n, b_n, -b_{n+1}], [a_{n-1}, b_{n-1}, -b_n],
-    [-b_n, -a_{n-1}, a_n]]; with r=None they are exact integers, otherwise
-    residues mod r.  The row vector (1, -1, 1) is a left fixed vector and
-    the determinant is 1 for every n.
-    """
-    a_n, a_prev = matrix_entry_a(n, r), matrix_entry_a(n - 1, r)
-    b_prev, b_n, b_next = (matrix_entry_b(n + k, r) for k in (-1, 0, 1))
-    entries: Matrix = (
-        (a_n, b_n, -b_next),
-        (a_prev, b_prev, -b_n),
-        (-b_n, -a_prev, a_n),
-    )
-    if r is not None:
-        entries = tuple(tuple(x % r for x in row) for row in entries)
-    return entries
-
-
-def is_coloring(n: int, r: int, t: Triple) -> bool:
-    """True iff the color input t survives n blocks unchanged mod r."""
-    check_modulus(r)
-    t = (t[0] % r, t[1] % r, t[2] % r)
-    return all(
-        (row[0] * t[0] + row[1] * t[1] + row[2] * t[2]) % r == x
-        for row, x in zip(transfer_matrix(n, r), t)
-    )
-
-
-# -- colorings ----------------------------------------------------------------
 
 class Coloring(namedtuple("Coloring", "n r period")):
     """A closed coloring of the standard diagram of THK(3, n) mod r.
@@ -217,8 +104,10 @@ class Coloring(namedtuple("Coloring", "n r period")):
         if not 0 < m <= self.n or self.n % m:
             return False
         r = check_modulus(self.r)
+        previous = self.period[-1:] + self.period[:-1]
         return all(
-            _block_step(self.period[i - 1], r) == self.period[i] for i in range(m)
+            level == ((2 * a - c) % r, a % r, (2 * c - b) % r)
+            for (a, b, c), level in zip(previous, self.period)
         )
 
     def to_json_dict(self) -> dict:
@@ -229,46 +118,6 @@ class Coloring(namedtuple("Coloring", "n r period")):
             "trace": [list(t) for t in self.trace],
             "colors_used": self.colors_used,
         }
-
-
-def is_circular_shift(a: list[int], b: list[int]) -> bool:
-    if len(a) != len(b):
-        return False
-    return any(b == a[i:] + a[:i] for i in range(len(a)))
-
-
-# -- enumeration --------------------------------------------------------------
-
-def enumerate_colorings(
-    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> list[Coloring]:
-    """All colorings of THK(3, n) mod r, by scanning every input triple.
-
-    Deliberately dumb: the fixed-point test uses the iterated matrix power,
-    and each hit is re-expanded by stepwise propagation, so this is the
-    oracle the counting formula is checked against.  Inputs come back in
-    lexicographic (a, b, c) order.
-    """
-    if n < 1:
-        raise ValueError("diagram needs at least one block")
-    check_modulus(r)
-    if r**3 > budget:
-        raise BudgetExceededError(
-            f"{r}^3 = {r**3} triples exceed the oracle budget {budget}"
-        )
-    power = c_power_iterated(n, r)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = power
-    found = []
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                if (
-                    (m00 * a + m01 * b + m02 * c) % r == a
-                    and (m10 * a + m11 * b + m12 * c) % r == b
-                    and (m20 * a + m21 * b + m22 * c) % r == c
-                ):
-                    found.append(Coloring.from_input(n, r, (a, b, c)))
-    return found
 
 
 def _reduced_system_params(n: int, r: int) -> tuple[int, int]:

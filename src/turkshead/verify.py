@@ -1,22 +1,26 @@
-"""Named verification suites.
+"""Named verification suites and the oracles they check the library against.
 
 Each suite re-derives a slice of the library's behavior from an independent
 direction (exhaustive enumeration, exact big-integer identities, frozen
 reference data) and reports one CheckResult per logical check.  The CLI
 `verify` subcommand and the acceptance tests both run these same functions.
+The oracles section holds the deliberately simple paths that no command
+reaches: block-matrix powers and their closed form, stepwise propagation,
+exhaustive coloring enumeration and the floating closed form of u.
 The identities of u, v and the transfer matrices are checked here and
 nowhere else, by the `identities` suite; the unit tests keep only edge cases.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import mincol, seq, thk, zmod
 from .psi import prime_psi_matches, psi_table, usage_ratios
-from .config import RunConfig
+from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError, RunConfig
 
 #: Frozen reference values for psi(r), 2 <= r <= 185, kept verbatim from the
 #: source table this build reproduces, including its one misprinted cell
@@ -84,6 +88,152 @@ def _result(suite: str, name: str, failures: list[str], detail_ok: str) -> Check
     return CheckResult(suite, name, True, detail_ok)
 
 
+# -- oracles -------------------------------------------------------------------
+
+Matrix = tuple[tuple[int, int, int], ...]
+
+#: One sigma2 * sigma1^{-1} block as a linear map on strand colors.
+C_BLOCK: Matrix = ((2, 0, -1), (1, 0, 0), (0, -1, 2))
+
+#: Exact inverse of C_BLOCK (its determinant is 1).
+C_BLOCK_INV: Matrix = ((0, 1, 0), (-2, 4, -1), (-1, 2, 0))
+
+
+def _mat_mul(a: Matrix, b: Matrix, r: int | None = None) -> Matrix:
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            s = a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+            row.append(s if r is None else s % r)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def c_power_iterated(n: int, r: int | None = None) -> Matrix:
+    """n-th power of the block matrix by plain repeated multiplication.
+
+    It never touches the closed-form entries, so the two can be checked
+    against each other.  Negative powers fold in the exact integer inverse.
+    """
+    base = C_BLOCK if n >= 0 else C_BLOCK_INV
+    result: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for _ in range(abs(n)):
+        result = _mat_mul(result, base, r)
+    return result
+
+
+def matrix_entry_a(n: int) -> int:
+    """Top-left entry a_n of the n-th block-matrix power.
+
+    a_n = u_n v_n for n >= -3.  Below the v seeds, a_{-m} is the top-left
+    cofactor of the m-th power (its determinant is 1, so its inverse is its
+    adjugate): a_{-m} = a_m b_{m-1} - a_{m-1} b_m.
+    """
+    if n >= -3:
+        return seq.u(n) * seq.v(n)
+    m = -n
+    return matrix_entry_a(m) * matrix_entry_b(m - 1) - matrix_entry_a(m - 1) * matrix_entry_b(m)
+
+
+def matrix_entry_b(n: int) -> int:
+    """Entry b_n = u_{n-2} u_{n-1} of the n-th block-matrix power."""
+    return seq.u(n - 2) * seq.u(n - 1)
+
+
+def transfer_matrix(n: int) -> Matrix:
+    """The n-th power of the block matrix, from its closed form.
+
+    Entries are [[a_n, b_n, -b_{n+1}], [a_{n-1}, b_{n-1}, -b_n],
+    [-b_n, -a_{n-1}, a_n]], exact integers.  The row vector (1, -1, 1) is a
+    left fixed vector and the determinant is 1 for every n.
+    """
+    a_n, a_prev = matrix_entry_a(n), matrix_entry_a(n - 1)
+    b_prev, b_n, b_next = (matrix_entry_b(n + k) for k in (-1, 0, 1))
+    return ((a_n, b_n, -b_next), (a_prev, b_prev, -b_n), (-b_n, -a_prev, a_n))
+
+
+def is_fixed_point(power: Matrix, r: int, t: thk.Triple) -> bool:
+    """Whether t, reduced mod r, is fixed by `power` mod r.
+
+    With power = c_power_iterated(n, r) this is the closure test: t is the
+    input of a coloring of THK(3, n) mod r.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = power
+    a, b, c = t[0] % r, t[1] % r, t[2] % r
+    return (
+        (m00 * a + m01 * b + m02 * c) % r == a
+        and (m10 * a + m11 * b + m12 * c) % r == b
+        and (m20 * a + m21 * b + m22 * c) % r == c
+    )
+
+
+def propagate(t: thk.Triple, r: int | None, n: int) -> list[thk.Triple]:
+    """Trace of n block steps: n+1 levels starting from t, exact (r=None)
+    or mod r.  Unlike Coloring.from_input it never stops at a return."""
+    if n < 0:
+        raise ValueError("trace length must be nonnegative")
+    if r is not None:
+        zmod.check_modulus(r)
+        t = (t[0] % r, t[1] % r, t[2] % r)
+    out = [t]
+    for _ in range(n):
+        a, b, c = out[-1]
+        level = (2 * a - c, a, 2 * c - b)
+        out.append(level if r is None else tuple(x % r for x in level))
+    return out
+
+
+def is_circular_shift(a: list[int], b: list[int]) -> bool:
+    if len(a) != len(b):
+        return False
+    return any(b == a[i:] + a[:i] for i in range(len(a)))
+
+
+def enumerate_colorings(
+    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
+) -> list[thk.Coloring]:
+    """All colorings of THK(3, n) mod r, by scanning every input triple.
+
+    Deliberately dumb: the fixed-point test uses the iterated matrix power,
+    and each hit is re-expanded by Coloring.from_input, so this is the
+    oracle the counting formula is checked against.  Inputs come back in
+    lexicographic (a, b, c) order.
+    """
+    if n < 1:
+        raise ValueError("diagram needs at least one block")
+    zmod.check_modulus(r)
+    if r**3 > budget:
+        raise BudgetExceededError(
+            f"{r}^3 = {r**3} triples exceed the oracle budget {budget}"
+        )
+    power = c_power_iterated(n, r)
+    return [
+        thk.Coloring.from_input(n, r, t)
+        for t in itertools.product(range(r), repeat=3)
+        if is_fixed_point(power, r, t)
+    ]
+
+
+_BINET_MAX_INDEX = 60
+
+
+def binet_u(n: int) -> float:
+    """Floating evaluation of the four-term closed form for u_n.
+
+    Only a cross-check against the exact path; |n| is capped to stay well
+    inside double range.
+    """
+    if abs(n) > _BINET_MAX_INDEX:
+        raise ValueError(f"binet_u limited to |n| <= {_BINET_MAX_INDEX}, got {n}")
+    s5 = math.sqrt(5.0)
+    phi = (1.0 + s5) / 2.0
+    phi_inv = (-1.0 + s5) / 2.0
+    psi = (1.0 - s5) / 2.0
+    psi_neg = (-1.0 - s5) / 2.0
+    return (phi ** (n + 2) - phi_inv**n - psi ** (n + 2) + psi_neg**n) / s5
+
+
 # -- suite 1: counting formula vs exhaustive oracle ----------------------------
 
 def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
@@ -93,7 +243,7 @@ def suite_formula_oracle(config: RunConfig) -> list[CheckResult]:
         for r in range(2, 17):
             pairs += 1
             expected = mincol.count_colorings(n, r)
-            actual = len(thk.enumerate_colorings(n, r, config.brute_force_budget))
+            actual = len(enumerate_colorings(n, r, config.brute_force_budget))
             if expected != actual:
                 failures.append(f"(n={n}, r={r}): formula {expected} != oracle {actual}")
     return [
@@ -214,7 +364,8 @@ def suite_mincol_exact(config: RunConfig) -> list[CheckResult]:
         if witness is None or not witness.validate() or witness.is_trivial:
             failures.append(f"({n}, {r}): witness missing or invalid")
             continue
-        if not thk.is_coloring(witness.n, witness.r, witness.input_triple):
+        power = c_power_iterated(witness.n, witness.r)
+        if not is_fixed_point(power, witness.r, witness.input_triple):
             failures.append(f"({n}, {r}): witness fails the closure test")
             continue
         palette = len(witness.colors_used)
@@ -269,7 +420,7 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
         palette = len(col.colors_used)
         if not col.validate() or col.is_trivial:
             failures.append(f"p={p}: invalid or trivial coloring")
-        if not thk.is_circular_shift(col.x_sequence, col.z_sequence):
+        if not is_circular_shift(col.x_sequence, col.z_sequence):
             failures.append(f"p={p}: right side is not a shift of the left")
         if palette > q:
             failures.append(f"p={p}: palette {palette} exceeds psi = {q}")
@@ -350,7 +501,7 @@ def _check_uv_factorization(n: int) -> bool:
         b_n = u_{n-2} u_{n-1}  b_n - 1 = u_n u_{n-3}
     """
     u, v = seq.u, seq.v
-    power = thk.c_power_iterated(n)
+    power = c_power_iterated(n)
     a_n, b_n = power[0][0], power[0][1]
     return (
         a_n == u(n) * v(n)
@@ -369,7 +520,7 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
     failures = []
     for n in range(0, 61):
         exact = seq.u(n)
-        approx = seq.binet_u(n)
+        approx = binet_u(n)
         tol = 1e-9 if n <= 40 else 1e-7
         if abs(approx - exact) > tol * max(1.0, abs(exact)):
             failures.append(f"n={n}: {approx} vs {exact}")
@@ -390,44 +541,45 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
 
     failures = []
     for n in range(-20, 61):
-        a_n, a_prev = thk.matrix_entry_a(n), thk.matrix_entry_a(n - 1)
-        b_n, b_prev = thk.matrix_entry_b(n), thk.matrix_entry_b(n - 1)
+        a_n, a_prev = matrix_entry_a(n), matrix_entry_a(n - 1)
+        b_n, b_prev = matrix_entry_b(n), matrix_entry_b(n - 1)
         if a_n - a_prev - b_n != 1 or b_n - b_prev - a_prev != -1:
             failures.append(f"n={n}")
     results.append(_result("identities", "index-identities", failures, "n in [-20, 60]"))
 
     failures = []
     for n in range(-60, 41):  # below n = -3, a_n comes from its cofactor form
-        if thk.transfer_matrix(n) != thk.c_power_iterated(n):
+        if transfer_matrix(n) != c_power_iterated(n):
             failures.append(f"n={n}")
     results.append(
         _result("identities", "closed-form-exact", failures, "integer powers, n in [-60, 40]")
     )
 
     failures = []
+    exact = [transfer_matrix(n) for n in range(0, 501)]
     for r in (2, 3, 5, 7, 16, 50):
         power = ((1 % r, 0, 0), (0, 1 % r, 0), (0, 0, 1 % r))
-        block = tuple(tuple(x % r for x in row) for row in thk.C_BLOCK)
-        for n in range(0, 501):
-            if thk.transfer_matrix(n, r) != power:
+        block = tuple(tuple(x % r for x in row) for row in C_BLOCK)
+        for n, closed in enumerate(exact):
+            if tuple(tuple(x % r for x in row) for row in closed) != power:
                 failures.append(f"(n={n}, r={r})")
                 break
-            power = thk._mat_mul(power, block, r)
+            power = _mat_mul(power, block, r)
     results.append(
         _result("identities", "closed-form-mod", failures, "n in [0, 500], six moduli")
     )
 
     failures = []
-    cache = {k: thk.transfer_matrix(k) for k in range(-60, 61)}
+    cache = {k: transfer_matrix(k) for k in range(-60, 61)}
     for a in range(-30, 31):
         for b in range(-30, 31):
-            if thk._mat_mul(cache[a], cache[b]) != cache[a + b]:
+            if _mat_mul(cache[a], cache[b]) != cache[a + b]:
                 failures.append(f"(a={a}, b={b})")
     results.append(_result("identities", "power-group-law", failures, "a, b in [-30, 30]"))
 
     failures = []
     for n in range(-20, 61):
-        m = thk.transfer_matrix(n)
+        m = transfer_matrix(n)
         fixed = tuple(m[0][j] - m[1][j] + m[2][j] for j in range(3))
         det = (
             m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -444,7 +596,7 @@ def suite_identities(config: RunConfig) -> list[CheckResult]:
     probes = [(0, 1, 0), (1, 2, 0), (1, 7, 0), (3, 1, 4), (0, 0, 1)]
     for r in (None, 2, 3, 5, 7, 11, 16, 50):
         for probe in probes:
-            levels = thk.propagate(probe, r, 60)
+            levels = propagate(probe, r, 60)
             a, b, c = levels[0]
             invariant = a - b + c if r is None else (a - b + c) % r
             for k, (x, y, z) in enumerate(levels):
@@ -528,7 +680,7 @@ def suite_nonsplit(config: RunConfig) -> list[CheckResult]:
         if count != r:
             failures.append(f"(n={n}, r={r}): formula count {count} != {r}")
             continue
-        colorings = thk.enumerate_colorings(n, r, config.brute_force_budget)
+        colorings = enumerate_colorings(n, r, config.brute_force_budget)
         if len(colorings) != r or any(not col.is_trivial for col in colorings):
             failures.append(f"(n={n}, r={r}): oracle found nontrivial colorings")
     return [

@@ -328,8 +328,14 @@ class TestImportCost:
         assert "turkshead.cli" in added
         assert not added & self.HEAVY
 
-    def test_light_command_loads_no_ratio_or_verify_module(self):
-        added = self.modules_added("from turkshead.cli import main; main(['-f', 'json', 'psi', '7'])")
+    @pytest.mark.parametrize(
+        "argv",
+        [["-f", "json", "psi", "7"], ["count", "5", "11"], ["mincol", "14", "13"], ["construct", "13"]],
+        ids=" ".join,
+    )
+    def test_light_command_loads_no_ratio_or_verify_module(self, argv):
+        # verify holds the exhaustive oracles, which no command may reach
+        added = self.modules_added(f"from turkshead.cli import main; assert main({argv!r}) == 0")
         assert "turkshead.cli" in added
         assert not added & {"fractions", "turkshead.verify"}
 

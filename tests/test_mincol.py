@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import turkshead
-from turkshead import mincol, psi, seq, thk, zmod
+from turkshead import mincol, psi, seq, thk, verify, zmod
 
 
 class TestCountColorings:
@@ -157,7 +157,7 @@ class TestOddConstruction:
         for p in (11, 19, 29, 31):
             col = mincol.construct(p)
             assert col.n % 2 == 1
-            assert thk.is_circular_shift(col.x_sequence, col.z_sequence)
+            assert verify.is_circular_shift(col.x_sequence, col.z_sequence)
 
     def test_large_psi_builds_in_linear_time(self):
         # psi(200351) = 100175, so a shift check that tries every rotation,
@@ -319,7 +319,8 @@ class TestVerdicts:
             verdict = mincol.mincol_exact(n, r)
             witness = verdict.witness
             assert witness is not None and witness.validate() and not witness.is_trivial
-            assert thk.is_coloring(witness.n, witness.r, witness.input_triple)
+            power = verify.c_power_iterated(witness.n, witness.r)
+            assert verify.is_fixed_point(power, witness.r, witness.input_triple)
 
     def test_long_braid_verdict_in_bounded_memory(self):
         # the witness keeps one period however long the braid, so memory
@@ -355,7 +356,7 @@ class TestTransport:
         lifted, steps = mincol._transport(col, 3, 4)
         assert steps == ["lift(2->4)"]
         assert lifted.r == 4 and lifted.colors_used == [0, 2]
-        assert thk.is_coloring(3, 4, lifted.input_triple)
+        assert verify.is_fixed_point(verify.c_power_iterated(3, 4), 4, lifted.input_triple)
 
     def test_lift_trivial_stays_trivial(self):
         col = thk.Coloring.from_input(2, 5, (3, 3, 3))
@@ -382,7 +383,7 @@ class TestTransport:
         assert steps == ["stack(k=2)"]
         assert stacked.n == 10 and stacked.validate()
         assert len(stacked.colors_used) == 5
-        assert stacked.trace == tuple(thk.propagate((1, 7, 0), 11, 10))
+        assert stacked.trace == tuple(verify.propagate((1, 7, 0), 11, 10))
 
     def test_equality_follows_the_levels(self):
         # from_input keeps the least period and stacking or lifting keeps it,

@@ -63,17 +63,9 @@ class TestModular:
     def test_u_mod_matches_exact(self, n, r):
         assert seq.u_mod(n, r) == seq.u(n) % r
 
-    @given(st.integers(-3, 400), st.integers(2, 10**6))
-    def test_v_mod_matches_exact(self, n, r):
-        assert seq.v_mod(n, r) == seq.v(n) % r
-
     @given(st.integers(-150, 400), st.integers(2**64 + 1, 2**96))
     def test_u_mod_matches_exact_above_64_bits(self, n, r):
         assert seq.u_mod(n, r) == seq.u(n) % r
-
-    @given(st.integers(-3, 400), st.integers(2**64 + 1, 2**96))
-    def test_v_mod_matches_exact_above_64_bits(self, n, r):
-        assert seq.v_mod(n, r) == seq.v(n) % r
 
     @pytest.mark.parametrize("r", range(2, 201))
     def test_ladder_matches_the_stream_over_two_periods(self, r):
@@ -86,11 +78,6 @@ class TestModular:
         assert [seq.rank_tests_halving(q, r) for q in range(2, len(residues) + 1, 2)] == [
             (zeros[q // 2 - 1], zeros[q - 1]) for q in range(2, len(residues) + 1, 2)
         ]
-
-    @pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 10, 25, 50, 125, 128, 199, 200])
-    def test_v_mod_matches_the_recurrence(self, r):
-        values = recurrence([7, 2, 3, 1], 604)
-        assert [seq.v_mod(n, r) for n in range(-3, 601)] == [x % r for x in values]
 
     def test_stream_mod_2(self):
         stream = seq.u_mod_stream(2)
@@ -106,16 +93,3 @@ class TestModular:
         values = [next(stream) for _ in range(5)]
         assert values[4] == 0 and 0 not in values[:4]
 
-
-class TestBinet:
-    @pytest.mark.parametrize("n, expected, tol", [(0, 1.0, 1e-9), (2, 4.0, 1e-9), (9, 55.0, 1e-7)])
-    def test_examples(self, n, expected, tol):
-        assert seq.binet_u(n) == pytest.approx(expected, abs=tol)
-
-    def test_negative_indices(self):
-        for n in range(-20, 0):
-            assert seq.binet_u(n) == pytest.approx(seq.u(n), abs=1e-7)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            seq.binet_u(61)

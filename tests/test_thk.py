@@ -1,9 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from turkshead import thk
+from turkshead import thk, verify
 from turkshead.config import BudgetExceededError
 
 # the 7-coloring of THK(3, 8) induced by (0, 1, 0)
@@ -13,86 +12,7 @@ SEVEN_COLORING_TRACE = [
 ]
 
 
-class TestPropagation:
-    def test_block_example_mod_11(self):
-        assert thk.propagate((1, 7, 0), 11, 1)[1] == (2, 1, 4)
-
-    def test_constant_triple_is_fixed(self):
-        for t in range(5):
-            assert thk.propagate((t, t, t), 5, 1)[1] == (t % 5,) * 3
-
-    def test_block_example_mod_7(self):
-        assert thk.propagate((0, 1, 0), 7, 1)[1] == (0, 0, 6)
-
-    def test_trace_of_seven_coloring(self):
-        assert thk.propagate((0, 1, 0), 7, 8) == SEVEN_COLORING_TRACE
-
-
-class TestTransferMatrix:
-    def test_one_block(self):
-        assert thk.transfer_matrix(1) == ((2, 0, -1), (1, 0, 0), (0, -1, 2))
-
-    def test_zero_is_identity(self):
-        assert thk.transfer_matrix(0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def test_three_blocks(self):
-        assert thk.transfer_matrix(3) == ((9, 4, -12), (4, 1, -4), (-4, -4, 9))
-
-    @given(st.integers(-40, 200), st.integers(2, 97))
-    @settings(max_examples=150)
-    def test_closed_form_equals_iterated_mod(self, n, r):
-        assert thk.transfer_matrix(n, r) == thk.c_power_iterated(n, r)
-
-    def test_inverse_matrix_constant(self):
-        assert thk._mat_mul(thk.C_BLOCK, thk.C_BLOCK_INV) == (
-            (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        )
-
-    def test_apply_respects_modulus(self):
-        m = thk.transfer_matrix(5, 11)
-        assert all(0 <= x < 11 for row in m for x in row)
-        assert thk.is_coloring(5, 11, (12, 18, -11))  # (1, 7, 0) mod 11
-
-
-class TestIsColoring:
-    def test_known_five_color_input(self):
-        assert thk.is_coloring(5, 11, (1, 7, 0))
-
-    def test_trivial_always_colors(self):
-        for n in (1, 2, 7):
-            for r in (2, 9):
-                assert thk.is_coloring(n, r, (3, 3, 3))
-
-    def test_probe_not_a_coloring_of_2_5(self):
-        # the closure condition for even n is a + 2b - 3c == 0 mod r when
-        # u_{n-1} is a unit; (0, 1, 0) gives 2, so it does not color
-        assert not thk.is_coloring(2, 5, (0, 1, 0))
-
-    def test_valid_coloring_of_2_5(self):
-        assert thk.is_coloring(2, 5, (3, 1, 0))
-
-
 class TestEnumeration:
-    def test_unknot_case_only_trivial(self):
-        cols = thk.enumerate_colorings(1, 5)
-        assert len(cols) == 5
-        assert all(c.is_trivial for c in cols)
-
-    def test_count_3_2(self):
-        assert len(thk.enumerate_colorings(3, 2)) == 8
-
-    def test_count_2_5(self):
-        assert len(thk.enumerate_colorings(2, 5)) == 25
-
-    def test_lexicographic_order(self):
-        cols = thk.enumerate_colorings(3, 3)
-        inputs = [c.input_triple for c in cols]
-        assert inputs == sorted(inputs)
-
-    def test_budget_error(self):
-        with pytest.raises(BudgetExceededError, match="budget"):
-            thk.enumerate_colorings(3, 101, budget=10**6)
-
     @staticmethod
     def translates_of_representatives(n, r):
         gu, g5 = thk._reduced_system_params(n, r)
@@ -103,12 +23,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("r", range(2, 10))
     def test_reduced_path_agrees_with_oracle(self, n, r):
-        oracle = [c.input_triple for c in thk.enumerate_colorings(n, r)]
+        oracle = [c.input_triple for c in verify.enumerate_colorings(n, r)]
         assert self.translates_of_representatives(n, r) == oracle
 
     @pytest.mark.parametrize("n, r", [(8, 7), (10, 11), (12, 16), (9, 15)])
     def test_reduced_path_agrees_on_resonant_cases(self, n, r):
-        oracle = [c.input_triple for c in thk.enumerate_colorings(n, r)]
+        oracle = [c.input_triple for c in verify.enumerate_colorings(n, r)]
         assert self.translates_of_representatives(n, r) == oracle
 
 
@@ -121,7 +41,7 @@ class TestColoring:
         # (0, 1, 0) mod 13 first returns after 14 blocks
         col = thk.Coloring.from_input(42, 13, (0, 1, 0))
         assert len(col.period) == 14
-        assert col.trace == tuple(thk.propagate((0, 1, 0), 13, 42))
+        assert col.trace == tuple(verify.propagate((0, 1, 0), 13, 42))
         for n in (7, 21):
             with pytest.raises(ValueError, match="does not close"):
                 thk.Coloring.from_input(n, 13, (0, 1, 0))
@@ -145,13 +65,13 @@ class TestColoring:
         ys = [t[1] for t in col.trace[: col.n]]
         assert ys == [7, 1, 2, 0, 4]
         assert col.z_sequence == [0, 4, 7, 1, 2]
-        assert thk.is_circular_shift(col.x_sequence, ys)
-        assert thk.is_circular_shift(col.x_sequence, col.z_sequence)
+        assert verify.is_circular_shift(col.x_sequence, ys)
+        assert verify.is_circular_shift(col.x_sequence, col.z_sequence)
 
     def test_middle_is_always_shift_of_left(self):
         for n, r, t in [(3, 2, (0, 0, 1)), (8, 7, (0, 1, 0)), (2, 5, (3, 1, 0))]:
             col = thk.Coloring.from_input(n, r, t)
-            assert thk.is_circular_shift(col.x_sequence, [level[1] for level in col.trace[: col.n]])
+            assert verify.is_circular_shift(col.x_sequence, [level[1] for level in col.trace[: col.n]])
 
     def test_json_round_trip(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
@@ -171,7 +91,7 @@ class TestColoring:
         period[2] = (9, 9, 9)
         assert not col._replace(period=tuple(period)).validate()
         # every step holds but the last, back to level 0
-        assert not thk.Coloring(2, 5, tuple(thk.propagate((0, 1, 0), 5, 1))).validate()
+        assert not thk.Coloring(2, 5, tuple(verify.propagate((0, 1, 0), 5, 1))).validate()
 
     def test_validate_rejects_period_not_dividing_n(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
@@ -185,12 +105,12 @@ class TestColoring:
         # period repeated over twice as many blocks
         for n in range(1, 31):
             for r in range(2, 21):
-                for col in thk.enumerate_colorings(n, r):
+                for col in verify.enumerate_colorings(n, r):
                     t = col.input_triple
-                    assert col.trace == tuple(thk.propagate(t, r, n)), (n, r, t)
+                    assert col.trace == tuple(verify.propagate(t, r, n)), (n, r, t)
                     doubled = col._replace(n=2 * n)
                     assert doubled.validate()
-                    assert doubled.trace == tuple(thk.propagate(t, r, 2 * n)), (n, r, t)
+                    assert doubled.trace == tuple(verify.propagate(t, r, 2 * n)), (n, r, t)
                     assert doubled.x_sequence == [level[0] for level in doubled.trace[:-1]]
                     assert doubled.z_sequence == [level[2] for level in doubled.trace[:-1]]
 
@@ -219,8 +139,8 @@ class TestMinColorsStandard:
         # propagated levels, paired with the lex-least input reaching it
         # (enumerate_colorings is lex ordered)
         expected = None
-        for col in thk.enumerate_colorings(n, r):
-            xs, _, zs = zip(*thk.propagate(col.input_triple, r, n))
+        for col in verify.enumerate_colorings(n, r):
+            xs, _, zs = zip(*verify.propagate(col.input_triple, r, n))
             pair = (len(set(xs).union(zs)), col.input_triple)
             if pair[0] > 1 and (expected is None or pair < expected):
                 expected = pair
@@ -243,7 +163,7 @@ class TestMinColorsStandard:
         count, witness = thk.min_colors_standard(n, r)
         assert (count, witness.input_triple) == expected
         assert len(witness.period) == period
-        assert witness.trace == tuple(thk.propagate(expected[1], r, n))
+        assert witness.trace == tuple(verify.propagate(expected[1], r, n))
 
     def test_propagates_one_input_per_translation_class(self, monkeypatch):
         calls = []
@@ -262,7 +182,7 @@ class TestMinColorsStandard:
             reps = {(a, b) for a, b, _ in thk._translation_representatives(n, r, gu, g5)}
             reps.discard((0, 0))
             orbits = {
-                frozenset(((x - z) % r, (y - z) % r) for x, y, z in thk.propagate((a, b, 0), r, n))
+                frozenset(((x - z) % r, (y - z) % r) for x, y, z in verify.propagate((a, b, 0), r, n))
                 for a, b in reps
             }
             assert set().union(*orbits) == reps
@@ -274,7 +194,7 @@ class TestMinColorsStandard:
             best = thk.min_colors_standard(n, r)[0]
             brute = min(
                 len(c.colors_used)
-                for c in thk.enumerate_colorings(n, r)
+                for c in verify.enumerate_colorings(n, r)
                 if not c.is_trivial
             )
             assert best == brute

@@ -1,9 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from turkshead import cli, psi, verify
-from turkshead.config import RunConfig
+from turkshead import cli, psi, seq, verify
+from turkshead.config import BudgetExceededError, RunConfig
 
 #: sha256 of `turkshead verify <suite>` stdout, check ids and details included
 SUITE_DIGESTS = {
@@ -53,3 +54,106 @@ class TestPsiTable:
         for r, published in verify.PSI_REFERENCE.items():
             assert psi.psi(r).psi == verify.PSI_REFERENCE_ERRATA.get(r, published), r
 
+
+class TestPropagation:
+    def test_block_example_mod_11(self):
+        assert verify.propagate((1, 7, 0), 11, 1)[1] == (2, 1, 4)
+
+    def test_constant_triple_is_fixed(self):
+        for t in range(5):
+            assert verify.propagate((t, t, t), 5, 1)[1] == (t % 5,) * 3
+
+    def test_block_example_mod_7(self):
+        assert verify.propagate((0, 1, 0), 7, 1)[1] == (0, 0, 6)
+
+    def test_trace_of_seven_coloring(self):
+        # the 7-coloring of THK(3, 8) induced by (0, 1, 0)
+        assert verify.propagate((0, 1, 0), 7, 8) == [
+            (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
+            (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
+        ]
+
+
+class TestTransferMatrix:
+    def test_one_block(self):
+        assert verify.transfer_matrix(1) == ((2, 0, -1), (1, 0, 0), (0, -1, 2))
+
+    def test_zero_is_identity(self):
+        assert verify.transfer_matrix(0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_three_blocks(self):
+        assert verify.transfer_matrix(3) == ((9, 4, -12), (4, 1, -4), (-4, -4, 9))
+
+    @given(st.integers(-40, 200), st.integers(2, 97))
+    @settings(max_examples=150)
+    def test_closed_form_equals_iterated_mod(self, n, r):
+        closed = tuple(tuple(x % r for x in row) for row in verify.transfer_matrix(n))
+        assert closed == verify.c_power_iterated(n, r)
+
+    def test_inverse_matrix_constant(self):
+        assert verify._mat_mul(verify.C_BLOCK, verify.C_BLOCK_INV) == (
+            (1, 0, 0), (0, 1, 0), (0, 0, 1),
+        )
+
+    def test_apply_respects_modulus(self):
+        m = verify.c_power_iterated(5, 11)
+        assert all(0 <= x < 11 for row in m for x in row)
+        assert verify.is_fixed_point(m, 11, (12, 18, -11))  # (1, 7, 0) mod 11
+
+
+class TestIsFixedPoint:
+    @staticmethod
+    def closes(n, r, t):
+        return verify.is_fixed_point(verify.c_power_iterated(n, r), r, t)
+
+    def test_known_five_color_input(self):
+        assert self.closes(5, 11, (1, 7, 0))
+
+    def test_trivial_always_colors(self):
+        for n in (1, 2, 7):
+            for r in (2, 9):
+                assert self.closes(n, r, (3, 3, 3))
+
+    def test_probe_not_a_coloring_of_2_5(self):
+        # the closure condition for even n is a + 2b - 3c == 0 mod r when
+        # u_{n-1} is a unit; (0, 1, 0) gives 2, so it does not color
+        assert not self.closes(2, 5, (0, 1, 0))
+
+    def test_valid_coloring_of_2_5(self):
+        assert self.closes(2, 5, (3, 1, 0))
+
+
+class TestEnumeration:
+    def test_unknot_case_only_trivial(self):
+        cols = verify.enumerate_colorings(1, 5)
+        assert len(cols) == 5
+        assert all(c.is_trivial for c in cols)
+
+    def test_count_3_2(self):
+        assert len(verify.enumerate_colorings(3, 2)) == 8
+
+    def test_count_2_5(self):
+        assert len(verify.enumerate_colorings(2, 5)) == 25
+
+    def test_lexicographic_order(self):
+        cols = verify.enumerate_colorings(3, 3)
+        inputs = [c.input_triple for c in cols]
+        assert inputs == sorted(inputs)
+
+    def test_budget_error(self):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            verify.enumerate_colorings(3, 101, budget=10**6)
+
+
+class TestBinet:
+    @pytest.mark.parametrize("n, expected, tol", [(0, 1.0, 1e-9), (2, 4.0, 1e-9), (9, 55.0, 1e-7)])
+    def test_examples(self, n, expected, tol):
+        assert verify.binet_u(n) == pytest.approx(expected, abs=tol)
+
+    def test_negative_indices(self):
+        for n in range(-20, 0):
+            assert verify.binet_u(n) == pytest.approx(seq.u(n), abs=1e-7)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            verify.binet_u(61)
