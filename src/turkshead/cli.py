@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+import itertools
 from types import SimpleNamespace
 
 from . import mincol, zmod
@@ -120,8 +121,9 @@ def cmd_psi(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-#: Rows of psi-table formatted by one `%` and written by one call.
-_PSI_BLOCK = 1 << 14
+#: Rows of psi-table, or levels of a coloring, formatted by one `%` and
+#: written by one call.
+_BLOCK = 1 << 14
 
 #: psi-table layout by output format: one row, the row separator, the tail.
 #: Each gives the bytes of print(f"psi({r}) = {q}") per row, of csv.writer,
@@ -142,7 +144,7 @@ def cmd_psi_table(args, config: RunConfig) -> int:
     if config.output_format == "json":
         write(f'{{"max": {args.max_r}, "psi": {{')
     end = len(table)
-    size = min(_PSI_BLOCK, end - 2)
+    size = min(_BLOCK, end - 2)
     flat = [0] * (2 * size)  # r, psi(r), r + 1, ... for one block
     block = sep.join([row] * size)
     for start in range(2, end, size):
@@ -159,11 +161,50 @@ def cmd_psi_table(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def write_json(record, palette: list[int] | None, write) -> None:
+    """Write the JSON line of a thk.Coloring or a mincol.MincolVerdict.
+
+    `palette` is the coloring's `colors_used`, or the verdict's witness's.
+    The bytes are those of print(json.dumps(...)) of the schema in the
+    README.  The trace is written from the stored period: one `%` formats
+    the period, and copies of it go out in blocks of about _BLOCK levels,
+    so memory is O(period + block) however long the braid.
+    """
+    tail = "}\n"
+    if isinstance(record, mincol.MincolVerdict):
+        head = json.dumps(
+            {
+                "n": record.n,
+                "r": record.r,
+                "kind": record.kind,
+                "lower": record.lower,
+                "upper": record.upper,
+                "provenance": list(record.provenance),
+            }
+        )
+        write(head[:-1] + ', "witness": ')
+        if record.witness is None:
+            write("null" + tail)
+            return
+        record, tail = record.witness, "}" + tail
+    period, n = record.period, record.n
+    m = len(period)
+    write('{"n": %d, "r": %d, "input": [%d, %d, %d], "trace": [' % (n, record.r, *period[0]))
+    text = "[%d, %d, %d], " * m % tuple([color for level in period for color in level])
+    per_block = min(n // m, max(1, _BLOCK // m))
+    blocks, rest = divmod(n // m, per_block)
+    block = text * per_block
+    for _ in range(blocks):
+        write(block)
+    # a list of ints prints as its JSON
+    write(text * rest + '[%d, %d, %d]], "colors_used": %s' % (*period[0], palette) + tail)
+
+
 def cmd_mincol(args, config: RunConfig) -> int:
     _no_csv(config.output_format, "mincol")
-    verdict = mincol.mincol_exact(args.n, args.r, config.brute_force_budget)
+    verdict, palette = mincol.verdict_with_palette(args.n, args.r, config.brute_force_budget)
     if config.output_format == "json":
-        _emit_json(verdict.to_json_dict())
+        write_json(verdict, palette, sys.stdout.write)
         return EXIT_OK
     if verdict.kind == "only-trivial":
         print(f"THK(3, {args.n}) mod {args.r}: only trivial colorings")
@@ -174,10 +215,9 @@ def cmd_mincol(args, config: RunConfig) -> int:
             f"mincol THK(3, {args.n}) mod {args.r} in [{verdict.lower}, {verdict.upper}]"
         )
     if verdict.witness is not None:
-        w = verdict.witness
         print(
-            f"  witness input {tuple(w.input_triple)} uses {len(w.colors_used)} "
-            f"colors {w.colors_used}"
+            f"  witness input {verdict.witness.input_triple} uses {len(palette)} "
+            f"colors {palette}"
         )
     print(f"  via: {', '.join(verdict.provenance)}")
     return EXIT_OK
@@ -185,17 +225,30 @@ def cmd_mincol(args, config: RunConfig) -> int:
 
 def cmd_construct(args, config: RunConfig) -> int:
     _no_csv(config.output_format, "construct")
-    coloring = mincol.construct(args.p)
-    q = coloring.n
+    coloring, palette = mincol.construct(args.p)
+    write = sys.stdout.write
     if config.output_format == "json":
-        _emit_json(coloring.to_json_dict())
-    else:
-        print(
-            f"p = {args.p}, psi = {q}: input {tuple(coloring.input_triple)} colors "
-            f"THK(3, {q}) with {len(coloring.colors_used)} colors {coloring.colors_used}"
-        )
-        for level, triple in enumerate(coloring.trace):
-            print(f"  level {level}: {triple}")
+        write_json(coloring, palette, write)
+        return EXIT_OK
+    period, end = coloring.period, coloring.n + 1
+    write(
+        f"p = {args.p}, psi = {coloring.n}: input {period[0]} colors "
+        f"THK(3, {coloring.n}) with {len(palette)} colors {palette}\n"
+    )
+    # levels 0..n, each column of the period repeated, in blocks of _BLOCK
+    row = "  level %d: (%d, %d, %d)\n"
+    size = min(_BLOCK, end)
+    flat, block = [0] * (4 * size), row * size
+    columns = [itertools.cycle([level[j] for level in period]) for j in range(3)]
+    for start in range(0, end, size):
+        stop = min(start + size, end)
+        if stop - start < size:  # the last block is short
+            del flat[4 * (stop - start):]
+            block = row * (stop - start)
+        flat[::4] = range(start, stop)
+        for j, column in enumerate(columns, 1):
+            flat[j::4] = itertools.islice(column, stop - start)
+        write(block % tuple(flat))
     return EXIT_OK
 
 

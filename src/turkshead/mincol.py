@@ -116,26 +116,30 @@ def _even_psi_coloring(p: int, q: int) -> Coloring:
     """construct(p) for a prime p > 5 whose psi q is even: input (0, 1, 0).
 
     The trace folds back on itself, which also fixes a handful of boundary
-    colors that are asserted here; _construction checks the palette.
+    colors that are asserted here, read off the stored period;
+    _construction checks the palette.
     """
     col = Coloring.from_input(q, p, (0, 1, 0))
-    xs, zs = col.x_sequence, col.z_sequence
+    period, m = col.period, len(col.period)
+    x = {i: period[i % m][0] for i in (1, 2, q // 2, q // 2 + 1)}
+    z = {i: period[i % m][2] for i in (1, 2, q - 1)}
     schema = (
-        xs[1] == 0
-        and xs[2] == 1
-        and zs[1] == p - 1
-        and zs[2] == p - 2
-        and xs[q // 2] == p - 2
-        and xs[q // 2 + 1] == p - 2
-        and zs[q - 1] == 2
+        x[1] == 0
+        and x[2] == 1
+        and z[1] == p - 1
+        and z[2] == p - 2
+        and x[q // 2] == p - 2
+        and x[q // 2 + 1] == p - 2
+        and z[q - 1] == 2
     )
     if not schema:
         raise AssertionError(f"boundary colors off-schema at p = {p}")
     return col
 
 
-def construct(p: int) -> Coloring:
-    """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5.
+def construct(p: int) -> tuple[Coloring, list[int]]:
+    """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5,
+    and its palette (`colors_used`).
 
     Odd psi(p) takes the kernel construction, even psi(p) the probe
     (0, 1, 0); either way col.n is psi(p).  p <= 5 is refused before any
@@ -146,23 +150,24 @@ def construct(p: int) -> Coloring:
     return _construction(p, psi_of_prime(p))
 
 
-def _construction(p: int, q: int) -> Coloring:
+def _construction(p: int, q: int) -> tuple[Coloring, list[int]]:
     """construct(p) for a prime p > 5 with psi(p) = q.
 
-    Its palette, read once, is asserted nontrivial, at most q for odd q, and
-    at most _estimate_bound(p, q).
+    Its palette, read once and returned with it, is asserted nontrivial, at
+    most q for odd q, and at most _estimate_bound(p, q).
     """
     odd = q % 2 == 1
     col = _odd_psi_coloring(p, q) if odd else _even_psi_coloring(p, q)
-    palette, bound = len(col.colors_used), _estimate_bound(p, q)
-    if palette == 1:
+    palette = col.colors_used
+    size, bound = len(palette), _estimate_bound(p, q)
+    if size == 1:
         what = "construction" if odd else "probe input"
         raise AssertionError(f"{what} degenerated to trivial at p = {p}")
-    if odd and palette > q:
+    if odd and size > q:
         raise AssertionError(f"palette exceeded psi({p}) = {q}")
-    if palette > bound:
-        raise AssertionError(f"palette {palette} exceeds the estimate {bound} at p = {p}")
-    return col
+    if size > bound:
+        raise AssertionError(f"palette {size} exceeds the estimate {bound} at p = {p}")
+    return col, palette
 
 
 def _estimate_bound(p: int, q: int) -> int:
@@ -207,17 +212,6 @@ class MincolVerdict(
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "kind": self.kind,
-            "lower": self.lower,
-            "upper": self.upper,
-            "provenance": list(self.provenance),
-            "witness": self.witness.to_json_dict() if self.witness else None,
-        }
-
 
 # The exact rules, keyed by the least prime p common to r and the
 # determinant: p -> (n0, value, probe).  p divides det THK(3, n) exactly
@@ -261,7 +255,9 @@ def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
     if r > s:
         steps.append(f"lift({s}->{r})")
     scale = r // s
-    period = tuple((a * scale, b * scale, c * scale) for a, b, c in col.period)
+    # from a list, not a generator: tuple(generator) leaves a tuple of len(period)
+    # on CPython's per-size free lists, which only a full GC run empties
+    period = tuple([(a * scale, b * scale, c * scale) for a, b, c in col.period])
     moved = Coloring(n, r, period)
     if not moved.validate():
         raise AssertionError(f"transported coloring failed revalidation at ({n}, {r})")
@@ -272,6 +268,14 @@ def mincol_exact(
     n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
 ) -> MincolVerdict:
     """Exact minimum-color verdict where the rules allow, else honest bounds."""
+    return verdict_with_palette(n, r, budget)[0]
+
+
+def verdict_with_palette(
+    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
+) -> tuple[MincolVerdict, list[int] | None]:
+    """mincol_exact(n, r, budget) and the palette (`colors_used`) of its
+    witness, read once, or None when only trivial colorings exist."""
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
@@ -280,30 +284,33 @@ def mincol_exact(
     if not primes:
         return MincolVerdict(
             n, r, "only-trivial", None, None, None, ("no-nontrivial-colorings",)
-        )
+        ), None
     lcp = primes[0]
     provenance = [f"classification-lcpf-{lcp}"]
     if lcp in _EXACT_RULES:
         n0, value, probe = _EXACT_RULES[lcp]
         tag = f"{lcp}|r,{n0}|n"
         witness, steps = _transport(Coloring.from_input(n0, lcp, probe), n, r)
+        palette = witness.colors_used
         # a least common prime of 11 alone gives >= 5; the witness closes it
-        if value == 5 and len(witness.colors_used) != 5:
+        if value == 5 and len(palette) != 5:
             raise AssertionError(f"rule {tag} lost its dual certificate at ({n}, {r})")
         steps = [f"witness-base({n0},{lcp})", *(f"witness-{step}" for step in steps)]
         provenance = [f"exact-rule({tag})", *provenance, *steps]
-        return MincolVerdict(n, r, "exact", value, value, witness, tuple(provenance))
+        return MincolVerdict(n, r, "exact", value, value, witness, tuple(provenance)), palette
 
     # every prime up to 11 has a rule, so lcp >= 13 and all primes are above 5
     provenance.append("lower-bound-5")
     p_star, q = _construction_prime(primes)
-    col = _construction(p_star, q)
+    col, palette = _construction(p_star, q)
     if n % q != 0:
         raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
     label = f"construction(p={p_star},estimate-bound={_estimate_bound(p_star, q)})"
     witness, steps = _transport(col, n, r)
     label += "".join(f"+{step}" for step in steps)
-    colors = len(witness.colors_used)
+    # lifting multiplies every color by r / p_star, which keeps their order
+    palette = [c * (r // p_star) for c in palette]
+    colors = len(palette)
     provenance.append(f"upper-route-{label}({colors})")
     if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
         found = min_colors_standard(n, r, budget)
@@ -312,6 +319,7 @@ def mincol_exact(
         provenance.append(f"upper-route-standard-diagram-search({found[0]})")
         if found[0] < colors:
             (colors, witness), label = found, "standard-diagram-search"
+            palette = witness.colors_used
     provenance.append(f"upper-from-{label}")
     kind = "exact" if colors == 5 else "bounds"
-    return MincolVerdict(n, r, kind, 5, colors, witness, tuple(provenance))
+    return MincolVerdict(n, r, kind, 5, colors, witness, tuple(provenance)), palette

@@ -110,15 +110,6 @@ class Coloring(namedtuple("Coloring", "n r period")):
             for (a, b, c), level in zip(previous, self.period)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "input": list(self.input_triple),
-            "trace": [list(t) for t in self.trace],
-            "colors_used": self.colors_used,
-        }
-
 
 def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
     """Solution-class sizes (gu, g5) of the reduced closure system mod r.

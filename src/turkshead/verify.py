@@ -403,7 +403,7 @@ def _constructions(limit: int, want_odd: bool, failures: list[str]) -> list[thk.
         if p <= 5:
             continue
         try:
-            col = mincol.construct(p)
+            col = mincol.construct(p)[0]
         except AssertionError as exc:
             failures.append(f"p={p}: {exc}")
             continue

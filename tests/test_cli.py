@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import turkshead
-from turkshead import cli, psi, seq, zmod
+from turkshead import cli, mincol, psi, seq, zmod
 from turkshead.config import BudgetExceededError
 from turkshead.cli import main
 
@@ -278,6 +279,89 @@ class TestPsiTableOutput:
         assert len(lines) == 999_999 and lines[0] == "2,3"
         assert lines[-1] == f"1000000,{psi.psi(10**6).psi}"
         assert int(done.stderr.split("peak_kb=")[1]) < 80 * 1024
+
+
+def coloring_the_old_way(col):
+    """The dict that json.dumps printed for a coloring, every level a list."""
+    return {
+        "n": col.n,
+        "r": col.r,
+        "input": list(col.input_triple),
+        "trace": [list(level) for level in col.trace],
+        "colors_used": col.colors_used,
+    }
+
+
+def json_the_old_way(command, *args):
+    """stdout of `-f json mincol n r` or `-f json construct p` as it was
+    printed, by json.dumps of a dict that held the whole trace."""
+    if command == "construct":
+        return json.dumps(coloring_the_old_way(mincol.construct(*args)[0])) + "\n"
+    verdict = mincol.mincol_exact(*args)
+    witness = verdict.witness
+    return json.dumps(
+        {
+            "n": verdict.n,
+            "r": verdict.r,
+            "kind": verdict.kind,
+            "lower": verdict.lower,
+            "upper": verdict.upper,
+            "provenance": list(verdict.provenance),
+            "witness": coloring_the_old_way(witness) if witness else None,
+        }
+    ) + "\n"
+
+
+class TestColoringOutput:
+    # a coloring's trace is written from its stored period, in blocks, with
+    # the bytes the old formatting of every level gave
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("mincol", (5, 7)),  # only trivial: "witness": null
+            ("mincol", (85, 143)),  # 11-rule witness stacked 17 times, lifted 11 -> 143
+            ("mincol", (28, 26)),  # construction at 13 stacked twice, lifted 13 -> 26
+            ("mincol", (14, 13)),  # the construction at 13 as it is, tied by the search
+            ("mincol", (8 * (2 * 2048 + 1), 14)),  # period 8: two full blocks and a short one
+            ("construct", (11,)),  # odd psi
+            ("construct", (19,)),
+            ("construct", (7,)),  # even psi
+            ("construct", (13,)),
+            ("construct", (200351,)),  # one period longer than a block
+        ],
+    )
+    def test_json_same_bytes_as_the_old_way(self, capsys, command, args):
+        code, out, _ = run(capsys, "-f", "json", command, *map(str, args))
+        assert code == 0 and out == json_the_old_way(command, *args)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 101, 983, 200351])
+    def test_plain_construct_same_bytes_as_one_print_per_level(self, capsys, p):
+        col, palette = mincol.construct(p)
+        expected = [
+            f"p = {p}, psi = {col.n}: input {tuple(col.input_triple)} colors "
+            f"THK(3, {col.n}) with {len(col.colors_used)} colors {col.colors_used}\n"
+        ]
+        expected += [f"  level {level}: {triple}\n" for level, triple in enumerate(col.trace)]
+        assert run(capsys, "construct", str(p)) == (0, "".join(expected), "")
+
+    def test_long_trace_in_bounded_memory(self):
+        # about 11.6 MB of JSON, written from a period of 8 levels
+        verdict, palette = mincol.verdict_with_palette(10**6, 14)
+        written = 0
+
+        def sink(text):
+            nonlocal written
+            written += len(text)
+
+        tracemalloc.start()
+        try:
+            cli.write_json(verdict, palette, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written == 11_625_318
+        assert peak < written // 20
 
 
 class TestPublicNames:

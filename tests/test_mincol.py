@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import turkshead
-from turkshead import mincol, psi, seq, thk, verify, zmod
+from turkshead import cli, mincol, psi, seq, thk, verify, zmod
 
 
 class TestCountColorings:
@@ -140,22 +140,22 @@ class TestCommonPrimes:
 
 class TestOddConstruction:
     def test_p11_matches_pinned_example(self):
-        col = mincol.construct(11)
+        col, palette = mincol.construct(11)
         assert col.n == 5
         assert col.input_triple == (1, 7, 0)
-        assert col.colors_used == [0, 1, 2, 4, 7]
+        assert palette == col.colors_used == [0, 1, 2, 4, 7]
 
     def test_p29_within_bound(self):
-        col = mincol.construct(29)
-        assert col.n == 7 and len(col.colors_used) <= 7
+        col, palette = mincol.construct(29)
+        assert col.n == 7 and palette == col.colors_used and len(palette) <= 7
 
     def test_p19_valid(self):
-        col = mincol.construct(19)
+        col, _ = mincol.construct(19)
         assert col.n == 9 and col.validate() and len(col.colors_used) <= 9
 
     def test_rotation_property(self):
         for p in (11, 19, 29, 31):
-            col = mincol.construct(p)
+            col, _ = mincol.construct(p)
             assert col.n % 2 == 1
             assert verify.is_circular_shift(col.x_sequence, col.z_sequence)
 
@@ -163,7 +163,7 @@ class TestOddConstruction:
         # psi(200351) = 100175, so a shift check that tries every rotation,
         # quadratic in psi, would take ~13 s
         start = time.perf_counter()
-        col = mincol.construct(200351)
+        col, _ = mincol.construct(200351)
         assert col.n == 100175
         assert time.perf_counter() - start < 2
 
@@ -175,17 +175,17 @@ class TestOddConstruction:
 
 class TestEvenConstruction:
     def test_p7_matches_pinned_trace(self):
-        col = mincol.construct(7)
+        col, palette = mincol.construct(7)
         assert col.n == 8
         assert col.trace == (
             (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
             (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
         )
-        assert len(col.colors_used) == 7
+        assert palette == col.colors_used and len(palette) == 7
 
     def test_p13_within_bound(self):
-        col = mincol.construct(13)
-        assert col.n == 14 and len(col.colors_used) <= 9
+        col, palette = mincol.construct(13)
+        assert col.n == 14 and palette == col.colors_used and len(palette) <= 9
 
     def test_guards(self, monkeypatch):
         monkeypatch.setattr(mincol, "psi_of_prime", lambda p: pytest.fail(f"psi({p}) computed"))
@@ -236,8 +236,8 @@ class TestEstimate:
         for p in zmod.primes_up_to(200):
             if p <= 11:
                 continue
-            col = mincol.construct(p)
-            assert mincol._estimate_bound(p, col.n) >= len(col.colors_used)
+            col, palette = mincol.construct(p)
+            assert mincol._estimate_bound(p, col.n) >= len(palette)
 
     def test_odd_bound_is_eulers_criterion_and_at_least_psi(self):
         # the proof in _estimate_bound's docstring, checked prime by prime
@@ -309,8 +309,9 @@ class TestVerdicts:
         assert len(verdict.witness.colors_used) == 5
 
     def test_verdict_json_schema(self):
-        verdict = mincol.mincol_exact(5, 11)
-        data = json.loads(json.dumps(verdict.to_json_dict()))
+        out = []
+        cli.write_json(*mincol.verdict_with_palette(5, 11), out.append)
+        data = json.loads("".join(out))
         assert list(data) == ["n", "r", "kind", "lower", "upper", "provenance", "witness"]
         assert data["witness"]["input"] == [1, 7, 0]
 
@@ -414,8 +415,9 @@ def test_verdict_grid_digest():
     digest = hashlib.sha256()
     for n in range(1, 61):
         for r in range(2, 61):
-            line = json.dumps(mincol.mincol_exact(n, r).to_json_dict()) + "\n"
-            digest.update(line.encode())
+            out = []
+            cli.write_json(*mincol.verdict_with_palette(n, r), out.append)
+            digest.update("".join(out).encode())
     assert digest.hexdigest() == (
         "be78e24967e1756cb7b58475433c7a8d3b4cf9b6afebc60a2e333090f968ba15"
     )

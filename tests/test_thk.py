@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from turkshead import thk, verify
+from turkshead import cli, thk, verify
 from turkshead.config import BudgetExceededError
 
 # the 7-coloring of THK(3, 8) induced by (0, 1, 0)
@@ -75,7 +75,9 @@ class TestColoring:
 
     def test_json_round_trip(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        data = json.loads(json.dumps(col.to_json_dict()))
+        out = []
+        cli.write_json(col, col.colors_used, out.append)
+        data = json.loads("".join(out))
         assert data == {
             "n": 5,
             "r": 11,
