@@ -69,11 +69,6 @@ def _emit_csv(rows: list[tuple]) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
-def _no_csv(fmt: str, command: str) -> None:
-    if fmt == "csv":
-        raise ValueError(f"the {command} command has no tabular form; use plain or json")
-
-
 def _check_printable(digits: int, what: str) -> None:
     """Refuse, before formatting, an integer too long for the interpreter to print.
 
@@ -88,7 +83,6 @@ def _check_printable(digits: int, what: str) -> None:
 
 
 def cmd_count(args, config: RunConfig) -> int:
-    _no_csv(config.output_format, "count")
     value = mincol.count_colorings(args.n, args.r)
     _check_printable(zmod.decimal_digits(value), f"the coloring count of THK(3, {args.n})")
     if config.output_format == "json":
@@ -99,7 +93,6 @@ def cmd_count(args, config: RunConfig) -> int:
 
 
 def cmd_det(args, config: RunConfig) -> int:
-    _no_csv(config.output_format, "det")
     # decided from n: computing and printing a determinant too long to
     # convert to decimal would only fail after the work
     _check_printable(mincol.determinant_digits(args.n), f"det THK(3, {args.n})")
@@ -112,7 +105,6 @@ def cmd_det(args, config: RunConfig) -> int:
 
 
 def cmd_psi(args, config: RunConfig) -> int:
-    _no_csv(config.output_format, "psi")
     result = psi(args.r, config.psi_scan_cap)
     if config.output_format == "json":
         _emit_json(result.to_json_dict())
@@ -201,7 +193,6 @@ def write_json(record, palette: list[int] | None, write) -> None:
 
 
 def cmd_mincol(args, config: RunConfig) -> int:
-    _no_csv(config.output_format, "mincol")
     verdict, palette = mincol.verdict_with_palette(args.n, args.r, config.brute_force_budget)
     if config.output_format == "json":
         write_json(verdict, palette, sys.stdout.write)
@@ -224,7 +215,6 @@ def cmd_mincol(args, config: RunConfig) -> int:
 
 
 def cmd_construct(args, config: RunConfig) -> int:
-    _no_csv(config.output_format, "construct")
     coloring, palette = mincol.construct(args.p)
     write = sys.stdout.write
     if config.output_format == "json":
@@ -297,7 +287,6 @@ def _suite_argument() -> dict:
 def cmd_verify(args, config: RunConfig) -> int:
     from . import verify
 
-    _no_csv(config.output_format, "verify")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
@@ -340,6 +329,9 @@ _GLOBAL_OPTIONS = (
         },
     ),
 )
+
+#: the commands with a tabular form; `-f csv` is refused for every other one
+_TABULAR = {"psi-table", "stats", "usage"}
 
 #: name -> (handler, help, arguments), in the order help lists them
 _COMMANDS = {
@@ -447,6 +439,8 @@ def main(argv: list[str] | None = None) -> int:
             psi_scan_cap=args.psi_cap,
             output_format=args.format,
         )
+        if config.output_format == "csv" and args.command not in _TABULAR:
+            raise ValueError(f"the {args.command} command has no tabular form; use plain or json")
         status = _COMMANDS[args.command][0](args, config)
         sys.stdout.flush()  # a reader that has gone shows here, not at shutdown
         return status

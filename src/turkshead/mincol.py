@@ -82,8 +82,8 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     -u_{q-1} == 0 mod p, its kernel vectors have distinct coordinates, and
     normalizing one to difference 1 yields the middle input color s so that
     (1, s, 0) closes with the shift property: the right strand is the left
-    one rotated by k, which is asserted in O(q).  Uses at most q colors,
-    which _construction checks.
+    one rotated by k, which is asserted on the stored period.  Uses at most
+    q colors, which _construction checks.
     """
     m00 = (seq.u_mod(q, p) + 1) % p
     m01 = (-seq.u_mod(q - 2, p) - 1) % p
@@ -106,8 +106,9 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     scale = zmod.mod_inverse(w[0] - w[1], p)
     s = scale * w[1] % p
     col = Coloring.from_input(q, p, (1, s, 0))
-    x, k = col.x_sequence, (q - 1) // 2
-    if col.z_sequence != x[k:] + x[:k]:
+    period, k = col.period, (q - 1) // 2
+    m = len(period)  # m divides q, so levels i < m cover every level i < q
+    if any(period[i][2] != period[(i + k) % m][0] for i in range(m)):
         raise AssertionError(f"shift property failed at p = {p}")
     return col
 

@@ -10,10 +10,10 @@ psi is a rank of apparition, so it is computed by the order algorithm: the
 indices q with r | u_{q-1} are exactly the multiples of psi(r), so psi(r) is
 the lcm of psi(p^k) over the prime powers p^k exactly dividing r, and
 psi(p^k) divides psi(p) p^(k-1) (Wall 1960; Vinson 1963).  For each prime
-power, psi_of_prime descends from that multiple, dividing out each prime
-while p^k still divides the earlier term; each such rank test,
-seq.rank_test, costs one ladder of O(log p^k) steps, and an even bound
-shares its ladder with the test at half of it.  psi_table walks
+power, _descend asserts that multiple (_check_bound) and descends from it,
+dividing out each prime while p^k still divides the earlier term; each
+such rank test, seq.rank_test, costs one ladder of O(log p^k) steps, and
+an even bound shares its ladder with the test at half of it.  psi_table walks
 r = 2, 3, ... with one lcm per modulus, psi(r) = lcm(psi(p^k), psi(r / p^k))
 for the least prime p of r, read off the rows it has built; a growing
 sieve of least prime factors gives p and splits each order bound without
@@ -64,10 +64,9 @@ def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP):
     indices 0 and 1.  Each r takes one step: with p its least prime and p^k
     the power of p that exactly divides it, psi(r) = lcm(psi(p^k),
     psi(r / p^k)), both read off the rows already built when p^k < r.
-    p^k itself comes from a second array of the same shape, the power of
-    the least prime in each r: p part[r / p] when p divides r / p, else p.
+    p^k is found by dividing r by p for as long as p divides the rest.
     Only a prime power r = p^k is descended, over the primes of its order
-    bound, so each prime power is descended once per table.
+    bound and p, so each prime power is descended once per table.
 
     p comes from one sieve of least prime factors,
     zmod.smallest_prime_factors, which also splits the order bounds.  The
@@ -83,22 +82,21 @@ def psi_table(max_r: int, cap: int = DEFAULT_PSI_SCAN_CAP):
 
     limit, spf = 64, zmod.smallest_prime_factors(64)
     table = array("q", (0, 1))  # psi(r)
-    part = array("q", (0, 1))  # the power of the least prime of r that exactly divides r
     for r in range(2, max_r + 1):
         if r + 1 > limit:
             grown = min(2 * r, max_r + 1, zmod.SIEVE_CEILING)
             if grown > limit:
                 limit, spf = grown, zmod.smallest_prime_factors(grown)
         p = spf[r] if r <= limit else min(zmod.factor(r))
-        rest = r // p
-        pk = p * part[rest] if rest % p == 0 else p
-        part.append(pk)
-        if pk < r:
-            q = math.lcm(table[pk], table[r // pk])
+        pk, rest = p, r // p
+        while rest % p == 0:
+            pk, rest = pk * p, rest // p
+        if rest > 1:
+            q = math.lcm(table[pk], table[rest])
         else:
             bound = _order_bound(p)
             primes = _sieved_primes(bound, spf) if bound <= limit else zmod.factor(bound)
-            q = _psi_of_prime_power(p, pk, bound, primes)
+            q = _descend(r, bound * r // p, primes if p in primes else [*primes, p])
         if q > cap:
             raise _over_cap(r, cap)
         table.append(q)
@@ -153,38 +151,35 @@ def _order_bound(p: int) -> int:
     return (p - 1) // 2 if p % 5 in (1, 4) else p + 1
 
 
-def _bound_refuted(r: int, bound: int) -> AssertionError:
-    return AssertionError(f"{r} does not divide u_{bound - 1}")
+def _check_bound(r: int, bound: int) -> bool | None:
+    """Assert r | u_{bound-1}: the proof that psi(r) divides `bound`.
 
-
-def _check_bound(r: int, bound: int) -> None:
-    """Assert r | u_{bound-1}: the proof that psi(r) divides `bound`."""
-    if not seq.rank_test(bound, r):
-        raise _bound_refuted(r, bound)
+    An even bound shares its ladder with the test at bound/2,
+    seq.rank_tests_halving, and r | u_{bound/2-1} is returned; an odd bound
+    runs seq.rank_test, and None is returned.
+    """
+    if bound % 2:
+        at_half, at_bound = None, seq.rank_test(bound, r)
+    else:
+        at_half, at_bound = seq.rank_tests_halving(bound, r)
+    if not at_bound:
+        raise AssertionError(f"{r} does not divide u_{bound - 1}")
+    return at_half
 
 
 def _descend(r: int, bound: int, primes) -> int:
     """psi(r) from a multiple `bound` of psi(r).
 
-    r | u_{bound-1} is asserted; since the indices q with r | u_{q-1} are
-    exactly the multiples of psi(r), each prime l of bound (from `primes`,
-    which must include them all) is then divided out for as long as
-    r | u_{q/l - 1} still holds.  When the bound is even, the bound check
-    and the test at bound/2 share one ladder, seq.rank_tests_halving.
+    r | u_{bound-1} is asserted by _check_bound; since the indices q with
+    r | u_{q-1} are exactly the multiples of psi(r), each prime l of bound
+    (from `primes`, which must include them all) is then divided out for as
+    long as r | u_{q/l - 1} still holds.  The test at bound/2 of an even
+    bound has run with the check, so 2 is tested again only when it passed.
     """
-    q, tested = bound, None  # a prime l of bound whose test has run
-    if bound % 2:
-        _check_bound(r, bound)
-    else:
-        at_half, at_bound = seq.rank_tests_halving(bound, r)
-        if not at_bound:
-            raise _bound_refuted(r, bound)
-        if at_half:
-            q //= 2
-        else:
-            tested = 2
+    at_half = _check_bound(r, bound)
+    q = bound // 2 if at_half else bound
     for ell in primes:
-        if ell != tested:
+        if ell != 2 or at_half:
             while q % ell == 0 and seq.rank_test(q // ell, r):
                 q //= ell
     return q
@@ -194,26 +189,15 @@ def psi_of_prime(p: int, k: int = 1) -> int:
     """psi(p^k) for a prime p, by the order algorithm.
 
     Descends from _order_bound(p) p^(k-1), a multiple of psi(p^k), over the
-    primes of _order_bound(p), from zmod.factor, and, when k > 1, p.  No
-    residues are scanned, so no scan cap applies.  p is not tested for
-    primality: every caller has proved it, by zmod.is_prime, zmod.factor or
-    a sieve.
+    primes of _order_bound(p), from zmod.factor, and p.  p divides the
+    bound only at p = 2 and 5, where it is one of its primes, so at k = 1
+    it adds no test.  No residues are scanned, so no scan cap applies.  p
+    is not tested for primality: every caller has proved it, by
+    zmod.is_prime, zmod.factor or a sieve.
     """
     bound = _order_bound(p)
-    return _psi_of_prime_power(p, p**k, bound, zmod.factor(bound))
-
-
-def _psi_of_prime_power(p: int, pk: int, bound: int, bound_primes) -> int:
-    """psi(pk) for a power pk of the prime p, bound = _order_bound(p).
-
-    Descends from bound pk / p over `bound_primes`, the primes of `bound`,
-    and, when pk > p, p itself: the one descent of psi_of_prime and
-    psi_table.
-    """
-    primes = list(bound_primes)
-    if pk > p and p not in primes:
-        primes.append(p)
-    return _descend(pk, bound * pk // p, primes)
+    primes = zmod.factor(bound)
+    return _descend(p**k, bound * p ** (k - 1), primes if p in primes else [*primes, p])
 
 
 # -- prime statistics ----------------------------------------------------------
@@ -240,39 +224,32 @@ def prime_psi_matches(count: int) -> list[bool]:
     prime p = +-1 mod 5, whose bound is (p - 1)/2, costs the bound check
     alone.  When B = p + 1 the bound check and the test at l = 2 share one
     ladder, seq.rank_tests_halving, and each odd l takes one more.  The
-    sieve that lists the primes proves them prime, and one list of small
-    primes up to the square root of the largest p + 1 factors every p + 1
-    that is tested.
+    sieve that lists the primes proves them prime, and the list is also
+    the trial divisors of every p + 1 that is tested.
     """
     if count < 1:
         raise ValueError("prime count must be positive")
     primes = zmod.first_primes(count)
-    small_primes = zmod.primes_up_to(math.isqrt(primes[-1] + 1))
-    return [_psi_is_p_plus_1(p, small_primes) for p in primes]
+    return [_psi_is_p_plus_1(p, primes) for p in primes]
 
 
-def _psi_is_p_plus_1(p: int, small_primes: list[int]) -> bool:
+def _psi_is_p_plus_1(p: int, primes: list[int]) -> bool:
     """Whether psi(p) = p + 1 for a prime p, by the certificate above.
 
-    `small_primes` must cover isqrt(p + 1) (see zmod.least_prime_factors).
+    `primes` must cover isqrt(p + 1) (see zmod.least_prime_factors).
     """
     bound, q = _order_bound(p), p + 1
-    tested = None  # a prime l of q whose test has run
     if bound == q:
-        at_half, at_bound = seq.rank_tests_halving(q, p)
-        if not at_bound:
-            raise _bound_refuted(p, bound)
-        if at_half:
+        if _check_bound(p, q):
             return False
-        tested = 2
-    else:
-        _check_bound(p, bound)
-        if bound % q or not seq.rank_test(q, p):
-            return False
+    elif not seq.rank_test(bound, p):  # no test at half this bound is read
+        _check_bound(p, bound)  # raises the refutation
+    elif bound % q or not seq.rank_test(q, p):
+        return False
     return all(
         not seq.rank_test(q // ell, p)
-        for ell in zmod.least_prime_factors(q, small_primes)
-        if ell != tested
+        for ell in zmod.least_prime_factors(q, primes)
+        if ell != 2 or bound != q  # the test at l = 2 ran with the bound check
     )
 
 

@@ -74,21 +74,6 @@ class Coloring(namedtuple("Coloring", "n r period")):
         return self.period[0]
 
     @property
-    def trace(self) -> tuple[Triple, ...]:
-        """The n+1 strand-color levels 0..n; the last equals the first."""
-        return self.period * (self.n // len(self.period)) + self.period[:1]
-
-    @property
-    def x_sequence(self) -> list[int]:
-        """Left strand colors over levels 0..n-1 (the L sequence)."""
-        return [t[0] for t in self.period] * (self.n // len(self.period))
-
-    @property
-    def z_sequence(self) -> list[int]:
-        """Right strand colors over levels 0..n-1 (the R sequence)."""
-        return [t[2] for t in self.period] * (self.n // len(self.period))
-
-    @property
     def colors_used(self) -> list[int]:
         """Sorted distinct arc colors: the x and z values over one period."""
         return sorted({t[0] for t in self.period} | {t[2] for t in self.period})

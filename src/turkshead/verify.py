@@ -420,7 +420,8 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
         palette = len(col.colors_used)
         if not col.validate() or col.is_trivial:
             failures.append(f"p={p}: invalid or trivial coloring")
-        if not is_circular_shift(col.x_sequence, col.z_sequence):
+        levels = propagate(col.input_triple, p, q)[:-1]
+        if not is_circular_shift([x for x, _, _ in levels], [z for _, _, z in levels]):
             failures.append(f"p={p}: right side is not a shift of the left")
         if palette > q:
             failures.append(f"p={p}: palette {palette} exceeds psi = {q}")

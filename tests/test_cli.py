@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import turkshead
-from turkshead import cli, mincol, psi, seq, zmod
+from turkshead import cli, mincol, psi, seq, verify, zmod
 from turkshead.config import BudgetExceededError
 from turkshead.cli import main
 
@@ -287,7 +287,7 @@ def coloring_the_old_way(col):
         "n": col.n,
         "r": col.r,
         "input": list(col.input_triple),
-        "trace": [list(level) for level in col.trace],
+        "trace": [list(level) for level in verify.propagate(col.input_triple, col.r, col.n)],
         "colors_used": col.colors_used,
     }
 
@@ -342,7 +342,8 @@ class TestColoringOutput:
             f"p = {p}, psi = {col.n}: input {tuple(col.input_triple)} colors "
             f"THK(3, {col.n}) with {len(col.colors_used)} colors {col.colors_used}\n"
         ]
-        expected += [f"  level {level}: {triple}\n" for level, triple in enumerate(col.trace)]
+        levels = verify.propagate(col.input_triple, col.r, col.n)
+        expected += [f"  level {level}: {triple}\n" for level, triple in enumerate(levels)]
         assert run(capsys, "construct", str(p)) == (0, "".join(expected), "")
 
     def test_long_trace_in_bounded_memory(self):

@@ -157,7 +157,8 @@ class TestOddConstruction:
         for p in (11, 19, 29, 31):
             col, _ = mincol.construct(p)
             assert col.n % 2 == 1
-            assert verify.is_circular_shift(col.x_sequence, col.z_sequence)
+            levels = verify.propagate(col.input_triple, col.r, col.n)[:-1]
+            assert verify.is_circular_shift([x for x, _, _ in levels], [z for _, _, z in levels])
 
     def test_large_psi_builds_in_linear_time(self):
         # psi(200351) = 100175, so a shift check that tries every rotation,
@@ -176,8 +177,8 @@ class TestOddConstruction:
 class TestEvenConstruction:
     def test_p7_matches_pinned_trace(self):
         col, palette = mincol.construct(7)
-        assert col.n == 8
-        assert col.trace == (
+        assert col.n == 8 and col.validate()
+        assert tuple(verify.propagate(col.input_triple, col.r, col.n)) == (
             (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
             (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
         )
@@ -384,7 +385,7 @@ class TestTransport:
         assert steps == ["stack(k=2)"]
         assert stacked.n == 10 and stacked.validate()
         assert len(stacked.colors_used) == 5
-        assert stacked.trace == tuple(verify.propagate((1, 7, 0), 11, 10))
+        assert stacked.period == tuple(verify.propagate((1, 7, 0), 11, 4))
 
     def test_equality_follows_the_levels(self):
         # from_input keeps the least period and stacking or lifting keeps it,

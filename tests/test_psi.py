@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,17 @@ class TestOrderRoute:
         # pass the sieve ceiling before the walk began
         with pytest.raises(BudgetExceededError, match=r"^psi\(625\) not found within the scan cap 1000$"):
             psi.psi_table(10**30, 1000)
+
+    def test_table_peak_is_one_array_and_the_sieve(self):
+        # 8 bytes per modulus for the table, as it grows, and 4 per entry
+        # for the sieve; a second array of 8 bytes per modulus reads 24
+        tracemalloc.start()
+        try:
+            psi.psi_table(300000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 300000 < 20
 
     def test_table_descends_each_prime_power_once(self, monkeypatch):
         # 589 prime powers below 4000 take 1,780 ladders, 2,224 when the

@@ -41,7 +41,7 @@ class TestColoring:
         # (0, 1, 0) mod 13 first returns after 14 blocks
         col = thk.Coloring.from_input(42, 13, (0, 1, 0))
         assert len(col.period) == 14
-        assert col.trace == tuple(verify.propagate((0, 1, 0), 13, 42))
+        assert col.period == tuple(verify.propagate((0, 1, 0), 13, 13))
         for n in (7, 21):
             with pytest.raises(ValueError, match="does not close"):
                 thk.Coloring.from_input(n, 13, (0, 1, 0))
@@ -57,21 +57,22 @@ class TestColoring:
     def test_seven_coloring_palette(self):
         col = thk.Coloring.from_input(8, 7, (0, 1, 0))
         assert len(col.colors_used) == 7
-        assert col.trace == tuple(SEVEN_COLORING_TRACE)
+        assert col.period == tuple(SEVEN_COLORING_TRACE[:-1])
 
     def test_sequences_and_shift_structure(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        assert col.x_sequence == [1, 2, 0, 4, 7]
-        ys = [t[1] for t in col.trace[: col.n]]
+        xs, ys, zs = ([level[j] for level in col.period] for j in range(3))
+        assert xs == [1, 2, 0, 4, 7]
         assert ys == [7, 1, 2, 0, 4]
-        assert col.z_sequence == [0, 4, 7, 1, 2]
-        assert verify.is_circular_shift(col.x_sequence, ys)
-        assert verify.is_circular_shift(col.x_sequence, col.z_sequence)
+        assert zs == [0, 4, 7, 1, 2]
+        assert verify.is_circular_shift(xs, ys)
+        assert verify.is_circular_shift(xs, zs)
 
     def test_middle_is_always_shift_of_left(self):
         for n, r, t in [(3, 2, (0, 0, 1)), (8, 7, (0, 1, 0)), (2, 5, (3, 1, 0))]:
             col = thk.Coloring.from_input(n, r, t)
-            assert verify.is_circular_shift(col.x_sequence, [level[1] for level in col.trace[: col.n]])
+            levels = verify.propagate(col.input_triple, col.r, col.n)[:-1]
+            assert verify.is_circular_shift([x for x, _, _ in levels], [y for _, y, _ in levels])
 
     def test_json_round_trip(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
@@ -108,13 +109,11 @@ class TestColoring:
         for n in range(1, 31):
             for r in range(2, 21):
                 for col in verify.enumerate_colorings(n, r):
-                    t = col.input_triple
-                    assert col.trace == tuple(verify.propagate(t, r, n)), (n, r, t)
+                    t, m = col.input_triple, len(col.period)
                     doubled = col._replace(n=2 * n)
                     assert doubled.validate()
-                    assert doubled.trace == tuple(verify.propagate(t, r, 2 * n)), (n, r, t)
-                    assert doubled.x_sequence == [level[0] for level in doubled.trace[:-1]]
-                    assert doubled.z_sequence == [level[2] for level in doubled.trace[:-1]]
+                    for i, level in enumerate(verify.propagate(t, r, 2 * n)):
+                        assert col.period[i % m] == level, (n, r, t, i)
 
 
 class TestMinColorsStandard:
@@ -165,7 +164,7 @@ class TestMinColorsStandard:
         count, witness = thk.min_colors_standard(n, r)
         assert (count, witness.input_triple) == expected
         assert len(witness.period) == period
-        assert witness.trace == tuple(verify.propagate(expected[1], r, n))
+        assert witness.period == tuple(verify.propagate(expected[1], r, period - 1))
 
     def test_propagates_one_input_per_translation_class(self, monkeypatch):
         calls = []

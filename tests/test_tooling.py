@@ -1,0 +1,38 @@
+"""Checks on the source of the modules that the commands run."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import turkshead
+
+#: every module of the package but verify, whose oracles no command reaches
+COMMAND_MODULES = ("zmod", "seq", "psi", "thk", "mincol", "cli", "config")
+
+
+def tuples_of_generators(source: str) -> list[int]:
+    """The lines of each call tuple(<generator expression>) in `source`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+    ]
+
+
+def test_finds_a_tuple_of_a_generator():
+    assert tuples_of_generators("a = tuple([x for x in y])\nb = tuple(x for x in y)\n") == [2]
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_no_tuple_of_a_generator(module):
+    # CPython 3.11 builds tuple(<generator>) in a 10-slot tuple and shrinks
+    # it, and a freed tuple of under 20 items waits on the free list of its
+    # size until a full collection.  On a per-command path that raised a
+    # query-mix session's peak RSS by about 2 MB; tuple([...]) is built at
+    # its size.
+    path = Path(turkshead.__file__).with_name(f"{module}.py")
+    assert tuples_of_generators(path.read_text()) == [], path.name
