@@ -13,12 +13,11 @@ then a command with its arguments) without argparse.  Any other argv, and
 any argv that would fail to parse, goes to the full parser of
 `build_parser`, the one source of help, usage and error text; only that path
 imports `argparse`.  Only the commands that need them import
-`turkshead.verify` and `fractions`.
+`turkshead.verify` and `fractions`, and only a JSON answer imports `json`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -60,6 +59,8 @@ def build_parser():
 
 
 def _emit_json(payload) -> None:
+    import json
+
     print(json.dumps(payload))
 
 
@@ -164,6 +165,8 @@ def write_json(record, palette: list[int] | None, write) -> None:
     """
     tail = "}\n"
     if isinstance(record, mincol.MincolVerdict):
+        import json
+
         head = json.dumps(
             {
                 "n": record.n,
@@ -448,9 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"turkshead: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError:
-        # the last line of defence for an input whose cost no budget bounds
-        print("turkshead: out of memory", file=sys.stderr)
-        return EXIT_BUDGET
+        # the last line of defence for an input whose cost no budget bounds;
+        # reported below, since here the exception still holds the failed
+        # frames and all they allocated
+        pass
     except ValueError as exc:
         print(f"turkshead: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -466,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
         return EXIT_BROKEN_PIPE
+    # only a MemoryError gets here, after its frames are freed
+    print("turkshead: out of memory", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -393,6 +393,7 @@ class TestImportCost:
         "dataclasses", "inspect", "typing", "ast", "dis",
         "fractions", "decimal", "numbers", "csv", "turkshead.verify",
         "argparse", "gettext", "array",
+        "json", "json.decoder", "json.encoder", "json.scanner", "_json",
     }
 
     @staticmethod
@@ -582,3 +583,23 @@ class TestHostileInput:
         assert done.returncode == code and "Traceback" not in done.stderr
         assert said in done.stdout + done.stderr
         assert int(done.stderr.split("peak_kb=")[1]) < 100 * 1024
+
+    def test_out_of_memory_under_real_pressure_exits_2(self):
+        # construct's levels fill a 200 MB address space; the message must
+        # wait until the failed frames that hold them are freed, or printing
+        # it raises a second MemoryError (exit 1 and a traceback)
+        src = str(Path(turkshead.__file__).resolve().parents[1])
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))\n"
+            "from turkshead.cli import main\n"
+            "sys.exit(main(['construct', '1000000007']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "turkshead: out of memory\n")
