@@ -216,41 +216,61 @@ class PrimeStats(namedtuple("PrimeStats", "prime_count matched ratio")):
 def prime_psi_matches(count: int) -> list[bool]:
     """For each of the first `count` primes, ascending, whether psi(p) = p + 1.
 
-    Each prime gets the certificate of the statement, not its psi.  The
-    check p | u_{B-1} at the bound B = _order_bound(p) is asserted for
-    every prime and proves psi(p) | B.  Then psi(p) = p + 1 exactly when
-    (p + 1) | B, p | u_p, and p does not divide u_{(p+1)/l - 1} for any
-    prime l of p + 1; the tests stop at the first l that fails.  So a
-    prime p = +-1 mod 5, whose bound is (p - 1)/2, costs the bound check
-    alone.  When B = p + 1 the bound check and the test at l = 2 share one
-    ladder, seq.rank_tests_halving, and each odd l takes one more.  The
-    sieve that lists the primes proves them prime, and the list is also
-    the trial divisors of every p + 1 that is tested.
+    Each prime gets the certificate of the statement, not its psi, from
+    the one sweep loop, _plus_one_verdicts.  The sieve that lists the
+    primes proves them prime, and the list is also the trial divisors of
+    every p + 1 that is tested.
     """
     if count < 1:
         raise ValueError("prime count must be positive")
     primes = zmod.first_primes(count)
-    return [_psi_is_p_plus_1(p, primes) for p in primes]
+    return _plus_one_verdicts(primes, primes)
 
 
-def _psi_is_p_plus_1(p: int, primes: list[int]) -> bool:
-    """Whether psi(p) = p + 1 for a prime p, by the certificate above.
+def _plus_one_verdicts(candidates: list[int], primes: list[int]) -> list[bool]:
+    """For each prime p of `candidates`, in order, whether psi(p) = p + 1.
 
-    `primes` must cover isqrt(p + 1) (see zmod.least_prime_factors).
+    The check p | u_{B-1} at the bound B = _order_bound(p) is asserted for
+    every prime and proves psi(p) | B (_check_bound raises its refutation).
+    Then psi(p) = p + 1 exactly when (p + 1) | B, p | u_p, and p does not
+    divide u_{(p+1)/l - 1} for any prime l of p + 1; the tests run in
+    ascending l and stop at the first that passes.  So a prime
+    p = +-1 mod 5, whose bound is (p - 1)/2, costs the bound check alone.
+    When B = p + 1 the bound check and the test at l = 2 share one ladder,
+    seq.rank_tests_halving; otherwise (p = 2 and 5, B = 30) l = 2 takes a
+    rank test of its own.  The odd primes l are found by trial division of
+    the odd part of p + 1 over `primes`, ascending, which must cover
+    isqrt(p + 1) for every candidate, and each takes one seq.rank_test.
     """
-    bound, q = _order_bound(p), p + 1
-    if bound == q:
-        if _check_bound(p, q):
-            return False
-    elif not seq.rank_test(bound, p):  # no test at half this bound is read
-        _check_bound(p, bound)  # raises the refutation
-    elif bound % q or not seq.rank_test(q, p):
-        return False
-    return all(
-        not seq.rank_test(q // ell, p)
-        for ell in zmod.least_prime_factors(q, primes)
-        if ell != 2 or bound != q  # the test at l = 2 ran with the bound check
-    )
+    verdicts = []
+    for p in candidates:
+        bound, q = _order_bound(p), p + 1
+        if bound == q:
+            plus_one = not _check_bound(p, q)
+        else:
+            if not seq.rank_test(bound, p):  # no test at half this bound is read
+                _check_bound(p, bound)  # raises the refutation
+            plus_one = (
+                bound % q == 0
+                and seq.rank_test(q, p)
+                and (q % 2 == 1 or not seq.rank_test(q // 2, p))
+            )
+        if plus_one:
+            m = q >> ((q & -q).bit_length() - 1)  # the odd part of p + 1
+            for ell in primes:
+                if ell * ell > m:
+                    break
+                if m % ell == 0:
+                    if seq.rank_test(q // ell, p):
+                        plus_one = False
+                        break
+                    m //= ell
+                    while m % ell == 0:
+                        m //= ell
+            if plus_one and m > 1:
+                plus_one = not seq.rank_test(q // m, p)
+        verdicts.append(plus_one)
+    return verdicts
 
 
 def prime_psi_stats(count: int) -> PrimeStats:
@@ -272,20 +292,19 @@ def prime_psi_stats(count: int) -> PrimeStats:
 def first_usage_primes(count: int) -> list[int]:
     """First `count` primes p > 7 with psi(p) = p + 1.
 
-    The sieve limit doubles until enough are found; each round tests only
-    the primes above the previous limit, by the certificate of the stats
-    sweep (_psi_is_p_plus_1).
+    The sieve limit doubles until enough are found; each round gives the
+    primes above the previous limit to the stats sweep's loop,
+    _plus_one_verdicts, whole, and the first `count` that match are kept.
     """
     if count < 1:
         raise ValueError("prime count must be positive")
     out, done, limit = [], 7, 512
     while True:
         primes = zmod.primes_up_to(limit)
-        for p in primes[bisect.bisect_right(primes, done):]:
-            if _psi_is_p_plus_1(p, primes):
-                out.append(p)
-                if len(out) == count:
-                    return out
+        fresh = primes[bisect.bisect_right(primes, done):]
+        out += [p for p, plus_one in zip(fresh, _plus_one_verdicts(fresh, primes)) if plus_one]
+        if len(out) >= count:
+            return out[:count]
         done, limit = limit, 2 * limit
 
 

@@ -66,36 +66,33 @@ def _ladder(bits: str, m: int | None, a: int = 2, b: int = 3) -> tuple[int, int]
     return a, b
 
 
-def _is_zero(q: int, a: int, b: int, r: int) -> bool:
-    """Whether r | u_{q-1}, from (a, b) = (V_k, V_{k+1}) mod 5r, k = q // 2."""
-    if q % 2:
-        return (b - a) % r == 0  # L_q = V_{k+1} - V_k
-    return (2 * b - 3 * a) % (5 * r) == 0  # 5 F_q = 2 V_{k+1} - 3 V_k
-
-
 def rank_test(q: int, r: int) -> bool:
     """Whether r | u_{q-1}, for q >= 0 and a modulus r the caller has checked.
 
     The zero indices q are the multiples of psi(r), so this is the test of
-    the order algorithm; it compares the ladder's residues and never forms
-    the term.
+    the order algorithm; it compares the ladder's residues (V_k, V_{k+1})
+    mod 5r, k = q // 2, and never forms the term.
     """
-    a, b = _ladder(bin(q // 2)[2:], 5 * r)
-    return _is_zero(q, a, b, r)
+    m = 5 * r
+    a, b = _ladder(bin(q // 2)[2:], m)
+    if q % 2:
+        return (b - a) % r == 0  # L_q = V_{k+1} - V_k
+    return (2 * b - 3 * a) % m == 0  # 5 F_q = 2 V_{k+1} - 3 V_k
 
 
 def rank_tests_halving(q: int, r: int) -> tuple[bool, bool]:
     """(r | u_{q/2-1}, r | u_{q-1}) for q divisible by 2, from one ladder.
 
     The ladder climbs every bit of q/2 but the last, to q // 4, for the
-    test at q/2, then the last bit, to q/2, for the test at q.
+    test at q/2, then the last bit, to q/2, for the test at q, which is
+    even and so reads 5 F_q.  The zero tests are rank_test's.
     """
     m, half = 5 * r, q // 2
     bits = bin(half)[2:]
     a, b = _ladder(bits[:-1], m)
-    at_half = _is_zero(half, a, b, r)
+    at_half = (b - a) % r == 0 if half % 2 else (2 * b - 3 * a) % m == 0
     a, b = _ladder(bits[-1], m, a, b)
-    return at_half, _is_zero(q, a, b, r)
+    return at_half, (2 * b - 3 * a) % m == 0
 
 
 def _u_term(n: int, r: int | None) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -414,6 +415,39 @@ class TestPrimeSweepCertificate:
         )
         with pytest.raises(AssertionError, match="^7 does not divide u_7$"):
             psi.prime_psi_matches(10)
+
+    def test_usage_sweep_keeps_the_bound_check(self, monkeypatch):
+        # 11 = 1 mod 5, the first prime the usage sweep tests, has the
+        # bound 5 (the split branch); 11 does not divide u_6, so a bound of
+        # 7 must be refuted
+        order_bound = psi._order_bound
+        monkeypatch.setattr(
+            psi, "_order_bound", lambda p: 7 if p == 11 else order_bound(p)
+        )
+        with pytest.raises(AssertionError, match="^11 does not divide u_6$"):
+            psi.first_usage_primes(1)
+
+    def test_usage_sweep_asserts_the_shared_bound(self, monkeypatch):
+        # 13 = 3 mod 5 has the bound 14 = 13 + 1 (the inert branch), checked
+        # on the shared ladder
+        halving = seq.rank_tests_halving
+        monkeypatch.setattr(
+            seq, "rank_tests_halving", lambda q, r: (False, False) if r == 13 else halving(q, r)
+        )
+        with pytest.raises(AssertionError, match="^13 does not divide u_13$"):
+            psi.first_usage_primes(1)
+
+    def test_verdicts_agree_with_the_descent_below_1e5(self):
+        # the 9,592 primes below 10^5, each by the other route of the order
+        # algorithm: psi_of_prime descends to psi(p)
+        primes = zmod.primes_up_to(10**5)
+        expected = [psi.psi_of_prime(p) == p + 1 for p in primes]
+        assert psi.prime_psi_matches(len(primes)) == expected
+
+    def test_paper_sweep_verdicts_frozen(self):
+        # the count alone, 3,970, would not see two verdicts swapped
+        digest = hashlib.sha256(bytes(psi.prime_psi_matches(10000))).hexdigest()
+        assert digest == "b678d007ea24b68593afe2f96d716102288070e7477f864ccaed907640ffc77b"
 
 
 class TestColorUsage:

@@ -11,15 +11,21 @@ import turkshead
 COMMAND_MODULES = ("zmod", "seq", "psi", "thk", "mincol", "cli", "config")
 
 
+def calls_of(source: str, name: str) -> list[ast.Call]:
+    """Each call name(...) in `source`."""
+    return [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
 def tuples_of_generators(source: str) -> list[int]:
     """The lines of each call tuple(<generator expression>) in `source`."""
     return [
         node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "tuple"
-        and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+        for node in calls_of(source, "tuple")
+        if any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
     ]
 
 
@@ -36,3 +42,18 @@ def test_no_tuple_of_a_generator(module):
     # its size.
     path = Path(turkshead.__file__).with_name(f"{module}.py")
     assert tuples_of_generators(path.read_text()) == [], path.name
+
+
+def test_finds_a_call_to_bin():
+    # an inlined copy of the ladder reads the bits of its index this way
+    source = "k = q // 2\nfor bit in bin(k)[2:]:\n    pass\n"
+    assert [node.lineno for node in calls_of(source, "bin")] == [2]
+
+
+@pytest.mark.parametrize("module", [m for m in COMMAND_MODULES if m != "seq"])
+def test_only_seq_climbs_the_ladder(module):
+    # seq._ladder is the one ladder body, so the bits of a ladder's index
+    # are read in seq alone; a copy of it elsewhere would escape the tests
+    # that hold the ladder against the residue stream
+    path = Path(turkshead.__file__).with_name(f"{module}.py")
+    assert [node.lineno for node in calls_of(path.read_text(), "bin")] == [], path.name

@@ -32,6 +32,13 @@ class TestPrimesAndFactors:
         assert zmod.primes_up_to(1) == []
         assert zmod.primes_up_to(-3) == []
 
+    def test_odd_only_sieve_agrees_with_is_prime_to_3000(self):
+        # every limit from -1 to 3000, so each parity of the limit and each
+        # square of an odd prime is an end of the sieve
+        primes = [m for m in range(3001) if zmod.is_prime(m)]
+        for limit in range(-1, 3001):
+            assert zmod.primes_up_to(limit) == [m for m in primes if m <= limit], limit
+
     def test_sieve_ceiling(self):
         with pytest.raises(BudgetExceededError, match="9-digit limit"):
             zmod.primes_up_to(zmod.SIEVE_CEILING + 1)
