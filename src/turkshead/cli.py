@@ -154,10 +154,14 @@ def cmd_psi_table(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def write_json(record, palette: list[int] | None, write) -> None:
+def _palette_text(palette: tuple[int, ...]) -> str:
+    """What the palette prints as a list, "[0, 1, 2]", formatted without building the list."""
+    return ("[" + "%d, " * (len(palette) - 1) + "%d]") % palette
+
+
+def write_json(record, write) -> None:
     """Write the JSON line of a thk.Coloring or a mincol.MincolVerdict.
 
-    `palette` is the coloring's `colors_used`, or the verdict's witness's.
     The bytes are those of print(json.dumps(...)) of the schema in the
     README.  The trace is written from the stored period: one `%` formats
     the period, and copies of it go out in blocks of about _BLOCK levels,
@@ -192,13 +196,14 @@ def write_json(record, palette: list[int] | None, write) -> None:
     for _ in range(blocks):
         write(block)
     # a list of ints prints as its JSON
+    palette = _palette_text(record.palette)
     write(text * rest + '[%d, %d, %d]], "colors_used": %s' % (*period[0], palette) + tail)
 
 
 def cmd_mincol(args, config: RunConfig) -> int:
-    verdict, palette = mincol.verdict_with_palette(args.n, args.r, config.brute_force_budget)
+    verdict = mincol.mincol_exact(args.n, args.r, config.brute_force_budget)
     if config.output_format == "json":
-        write_json(verdict, palette, sys.stdout.write)
+        write_json(verdict, sys.stdout.write)
         return EXIT_OK
     if verdict.kind == "only-trivial":
         print(f"THK(3, {args.n}) mod {args.r}: only trivial colorings")
@@ -209,24 +214,25 @@ def cmd_mincol(args, config: RunConfig) -> int:
             f"mincol THK(3, {args.n}) mod {args.r} in [{verdict.lower}, {verdict.upper}]"
         )
     if verdict.witness is not None:
+        palette = verdict.witness.palette
         print(
             f"  witness input {verdict.witness.input_triple} uses {len(palette)} "
-            f"colors {palette}"
+            f"colors {_palette_text(palette)}"
         )
     print(f"  via: {', '.join(verdict.provenance)}")
     return EXIT_OK
 
 
 def cmd_construct(args, config: RunConfig) -> int:
-    coloring, palette = mincol.construct(args.p)
+    coloring = mincol.construct(args.p)
     write = sys.stdout.write
     if config.output_format == "json":
-        write_json(coloring, palette, write)
+        write_json(coloring, write)
         return EXIT_OK
-    period, end = coloring.period, coloring.n + 1
+    period, palette, end = coloring.period, coloring.palette, coloring.n + 1
     write(
         f"p = {args.p}, psi = {coloring.n}: input {period[0]} colors "
-        f"THK(3, {coloring.n}) with {len(palette)} colors {palette}\n"
+        f"THK(3, {coloring.n}) with {len(palette)} colors {_palette_text(palette)}\n"
     )
     # levels 0..n, each column of the period repeated, in blocks of _BLOCK
     row = "  level %d: (%d, %d, %d)\n"

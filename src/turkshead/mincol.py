@@ -74,37 +74,25 @@ def _common_primes(gu: int, g5: int) -> list[int]:
 # -- explicit constructions ----------------------------------------------------
 
 def _odd_psi_coloring(p: int, q: int) -> Coloring:
-    """construct(p) for a prime p > 5 whose psi q is odd.
+    """construct(p) for a prime p > 5 whose psi q is odd: the input (1, s, 0)
+    with s = (1 - f)(2f)^-1 mod p, where f = u_{q-2} = F_{q-1}.
 
-    Solves the 2x2 kernel system that forces the right strand sequence to be
-    a circular shift of the left one: with k = (q - 1) / 2 the matrix
-    [[u_{2k+1}+1, -u_{2k-1}-1], [u_{2k-1}+1, -u_{2k-3}-2]] has determinant
-    -u_{q-1} == 0 mod p, its kernel vectors have distinct coordinates, and
-    normalizing one to difference 1 yields the middle input color s so that
-    (1, s, 0) closes with the shift property: the right strand is the left
-    one rotated by k, which is asserted on the stored period.  Uses at most
-    q colors, which _construction checks.
+    (w0, w1) = (s + 1, s) spans the kernel of the system that makes the right
+    strand the left one rotated by k = (q - 1) / 2, [[u_q + 1, -u_{q-2} - 1],
+    [u_{q-2} + 1, -u_{q-4} - 2]] (u_j = F_{j+1} for odd j).  Proof, mod p:
+    p | u_{q-1} = L_q = F_{q+1} + F_{q-1}, so F_{q+1} = -f, F_q = -2f,
+    F_{q-2} = -3f, F_{q-3} = 4f, and the system is [[1 - f, -1 - f],
+    [1 + f, -2 - 4f]], of determinant 5f^2 - 1 = 0, since L_{q-1} =
+    F_q + F_{q-2} = -5f and L_{q-1}^2 - 5F_{q-1}^2 = 4.  Its first row is
+    nonzero, or 2 = 0, so (-1 - f, f - 1) spans the kernel; its coordinates
+    differ by -2f, and scaled to differ by 1 it is (s + 1, s).  f != 0, as
+    F_{q-1} and F_q = -2f are coprime.  The shift property is asserted on
+    the stored period; _construction checks the palette against q.
     """
-    m00 = (seq.u_mod(q, p) + 1) % p
-    m01 = (-seq.u_mod(q - 2, p) - 1) % p
-    m10 = (seq.u_mod(q - 2, p) + 1) % p
-    m11 = (-seq.u_mod(q - 4, p) - 2) % p
-    if (m00 * m11 - m01 * m10) % p != 0:
-        raise AssertionError(f"kernel system invertible mod {p}; construction impossible")
-    if (m00, m01) != (0, 0):
-        w = (m01, (-m00) % p)
-        other = (m10, m11)
-    elif (m10, m11) != (0, 0):
-        w = (m11, (-m10) % p)
-        other = (m00, m01)
-    else:
-        raise AssertionError(f"kernel system vanished mod {p}")
-    if (other[0] * w[0] + other[1] * w[1]) % p != 0:
-        raise AssertionError(f"kernel system has full rank mod {p}")
-    if w == (0, 0) or (w[0] - w[1]) % p == 0:
-        raise AssertionError(f"kernel vector mod {p} lacks distinct coordinates")
-    scale = zmod.mod_inverse(w[0] - w[1], p)
-    s = scale * w[1] % p
+    f = seq.u_mod(q - 2, p)
+    if f == 0:
+        raise AssertionError(f"{p} divides F_{q - 1} and F_{q}")
+    s = (1 - f) * zmod.mod_inverse(2 * f, p) % p
     col = Coloring.from_input(q, p, (1, s, 0))
     period, k = col.period, (q - 1) // 2
     m = len(period)  # m divides q, so levels i < m cover every level i < q
@@ -138,9 +126,8 @@ def _even_psi_coloring(p: int, q: int) -> Coloring:
     return col
 
 
-def construct(p: int) -> tuple[Coloring, list[int]]:
-    """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5,
-    and its palette (`colors_used`).
+def construct(p: int) -> Coloring:
+    """The explicit low-color coloring of THK(3, psi(p)) mod p, prime p > 5.
 
     Odd psi(p) takes the kernel construction, even psi(p) the probe
     (0, 1, 0); either way col.n is psi(p).  p <= 5 is refused before any
@@ -151,16 +138,15 @@ def construct(p: int) -> tuple[Coloring, list[int]]:
     return _construction(p, psi_of_prime(p))
 
 
-def _construction(p: int, q: int) -> tuple[Coloring, list[int]]:
+def _construction(p: int, q: int) -> Coloring:
     """construct(p) for a prime p > 5 with psi(p) = q.
 
-    Its palette, read once and returned with it, is asserted nontrivial, at
-    most q for odd q, and at most _estimate_bound(p, q).
+    Its palette is asserted nontrivial, at most q for odd q, and at most
+    _estimate_bound(p, q).
     """
     odd = q % 2 == 1
     col = _odd_psi_coloring(p, q) if odd else _even_psi_coloring(p, q)
-    palette = col.colors_used
-    size, bound = len(palette), _estimate_bound(p, q)
+    size, bound = len(col.palette), _estimate_bound(p, q)
     if size == 1:
         what = "construction" if odd else "probe input"
         raise AssertionError(f"{what} degenerated to trivial at p = {p}")
@@ -168,7 +154,7 @@ def _construction(p: int, q: int) -> tuple[Coloring, list[int]]:
         raise AssertionError(f"palette exceeded psi({p}) = {q}")
     if size > bound:
         raise AssertionError(f"palette {size} exceeds the estimate {bound} at p = {p}")
-    return col, palette
+    return col
 
 
 def _estimate_bound(p: int, q: int) -> int:
@@ -242,10 +228,10 @@ def _construction_prime(primes: list[int]) -> tuple[int, int]:
 def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
     """Carry col from THK(3, n0) mod s to THK(3, n) mod r, naming each step.
 
-    Stacking k = n / n0 copies keeps the period, since level n of the stack
-    is level 0 again; lifting multiplies every color by r / s, which keeps
-    the block map's relations and the palette size.  Both need n0 | n and
-    s | r, and the result is revalidated around its period.
+    Stacking k = n / n0 copies shares col's period and palette, since level
+    n of the stack is level 0 again; lifting multiplies every color by
+    r / s, which keeps the block map's relations and the palette's order.
+    Both need n0 | n and s | r, and the result is revalidated around its period.
     """
     n0, s = col.n, col.r
     if n % n0 or r % s:
@@ -256,10 +242,13 @@ def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
     if r > s:
         steps.append(f"lift({s}->{r})")
     scale = r // s
-    # from a list, not a generator: tuple(generator) leaves a tuple of len(period)
-    # on CPython's per-size free lists, which only a full GC run empties
-    period = tuple([(a * scale, b * scale, c * scale) for a, b, c in col.period])
-    moved = Coloring(n, r, period)
+    if scale == 1:
+        moved = col._replace(n=n)
+    else:
+        # from a list, not a generator: tuple(generator) leaves a tuple of len(period)
+        # on CPython's per-size free lists, which only a full GC run empties
+        period = tuple([(a * scale, b * scale, c * scale) for a, b, c in col.period])
+        moved = Coloring(n, r, period, tuple([c * scale for c in col.palette]))
     if not moved.validate():
         raise AssertionError(f"transported coloring failed revalidation at ({n}, {r})")
     return moved, steps
@@ -269,14 +258,6 @@ def mincol_exact(
     n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
 ) -> MincolVerdict:
     """Exact minimum-color verdict where the rules allow, else honest bounds."""
-    return verdict_with_palette(n, r, budget)[0]
-
-
-def verdict_with_palette(
-    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> tuple[MincolVerdict, list[int] | None]:
-    """mincol_exact(n, r, budget) and the palette (`colors_used`) of its
-    witness, read once, or None when only trivial colorings exist."""
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
@@ -285,33 +266,30 @@ def verdict_with_palette(
     if not primes:
         return MincolVerdict(
             n, r, "only-trivial", None, None, None, ("no-nontrivial-colorings",)
-        ), None
+        )
     lcp = primes[0]
     provenance = [f"classification-lcpf-{lcp}"]
     if lcp in _EXACT_RULES:
         n0, value, probe = _EXACT_RULES[lcp]
         tag = f"{lcp}|r,{n0}|n"
         witness, steps = _transport(Coloring.from_input(n0, lcp, probe), n, r)
-        palette = witness.colors_used
         # a least common prime of 11 alone gives >= 5; the witness closes it
-        if value == 5 and len(palette) != 5:
+        if value == 5 and len(witness.palette) != 5:
             raise AssertionError(f"rule {tag} lost its dual certificate at ({n}, {r})")
         steps = [f"witness-base({n0},{lcp})", *(f"witness-{step}" for step in steps)]
         provenance = [f"exact-rule({tag})", *provenance, *steps]
-        return MincolVerdict(n, r, "exact", value, value, witness, tuple(provenance)), palette
+        return MincolVerdict(n, r, "exact", value, value, witness, tuple(provenance))
 
     # every prime up to 11 has a rule, so lcp >= 13 and all primes are above 5
     provenance.append("lower-bound-5")
     p_star, q = _construction_prime(primes)
-    col, palette = _construction(p_star, q)
+    col = _construction(p_star, q)
     if n % q != 0:
         raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
     label = f"construction(p={p_star},estimate-bound={_estimate_bound(p_star, q)})"
     witness, steps = _transport(col, n, r)
     label += "".join(f"+{step}" for step in steps)
-    # lifting multiplies every color by r / p_star, which keeps their order
-    palette = [c * (r // p_star) for c in palette]
-    colors = len(palette)
+    colors = len(witness.palette)
     provenance.append(f"upper-route-{label}({colors})")
     if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
         found = min_colors_standard(n, r, budget)
@@ -320,7 +298,6 @@ def verdict_with_palette(
         provenance.append(f"upper-route-standard-diagram-search({found[0]})")
         if found[0] < colors:
             (colors, witness), label = found, "standard-diagram-search"
-            palette = witness.colors_used
     provenance.append(f"upper-from-{label}")
     kind = "exact" if colors == 5 else "bounds"
-    return MincolVerdict(n, r, kind, 5, colors, witness, tuple(provenance)), palette
+    return MincolVerdict(n, r, kind, 5, colors, witness, tuple(provenance))

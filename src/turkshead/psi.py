@@ -321,7 +321,7 @@ def usage_ratios(count: int) -> list[tuple[int, Fraction]]:
     rows = []
     for p in first_usage_primes(count):
         palettes = [
-            len(thk.Coloring.from_input(p + 1, p, probe).colors_used)
+            len(thk.Coloring.from_input(p + 1, p, probe).palette)
             for probe in ((0, 1, 0), (1, 2, 0))
         ]
         rows.append((p, Fraction(max(palettes), p)))

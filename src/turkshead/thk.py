@@ -29,16 +29,17 @@ from .zmod import check_modulus
 Triple = tuple[int, int, int]
 
 
-class Coloring(namedtuple("Coloring", "n r period")):
+class Coloring(namedtuple("Coloring", "n r period palette")):
     """A closed coloring of the standard diagram of THK(3, n) mod r.
 
     `period` holds the strand-color levels 0..m-1 for some m dividing n;
     level i is period[i % m], so level n equals level 0 (the braid closure
-    condition).  Juxtaposing copies of THK(3, m) thus needs no new levels,
-    and every palette and check reads the period alone.  `from_input`
-    stores the least period, and `mincol._transport` keeps it (multiplying
-    by r/s is injective from Z_s into Z_r), so two colorings of one diagram
-    compare and hash equal exactly when their levels agree.
+    condition).  Juxtaposing copies of THK(3, m) thus needs no new levels.
+    `palette` holds the arc colors, the x and z values over the period, in
+    ascending order.  `from_input` stores the least period and sorts its
+    palette once, and `mincol._transport` keeps both (multiplying by r/s is
+    injective from Z_s into Z_r and keeps the order), so two colorings of
+    one diagram compare and hash equal exactly when their levels agree.
     """
 
     __slots__ = ()
@@ -49,8 +50,8 @@ class Coloring(namedtuple("Coloring", "n r period")):
 
         The block map has determinant 1, so it is invertible mod r and every
         orbit is purely periodic: t closes after n blocks exactly when its
-        least period m divides n.  So at most n steps are taken, and only
-        the m levels of one period are kept.
+        least period m divides n.  So at most n steps are taken, only the
+        m levels of one period are kept, and the palette is sorted from them.
         """
         if n < 1:
             raise ValueError("diagram needs at least one block")
@@ -67,7 +68,8 @@ class Coloring(namedtuple("Coloring", "n r period")):
             raise ValueError(
                 f"input {t} does not close after {n} blocks mod {r}"
             )
-        return cls(n, r, tuple(levels))
+        levels = tuple(levels)
+        return cls(n, r, levels, tuple(sorted({t[0] for t in levels} | {t[2] for t in levels})))
 
     @property
     def input_triple(self) -> Triple:
@@ -75,12 +77,12 @@ class Coloring(namedtuple("Coloring", "n r period")):
 
     @property
     def colors_used(self) -> list[int]:
-        """Sorted distinct arc colors: the x and z values over one period."""
-        return sorted({t[0] for t in self.period} | {t[2] for t in self.period})
+        """Sorted distinct arc colors: the stored palette as a list."""
+        return list(self.palette)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.colors_used) == 1
+        return len(self.palette) == 1
 
     def validate(self) -> bool:
         """Check that the period length m divides n, then every block step
@@ -165,7 +167,7 @@ def min_colors_standard(
             continue
         col = Coloring.from_input(n, r, (a, b, 0))
         seen.update(((x - z) % r, (y - z) % r) for x, y, z in col.period)
-        k = len(col.colors_used)
+        k = len(col.palette)
         if best is not None and k > best[0]:
             continue
         key = (k, min((0, (y - x) % r, (z - x) % r) for x, y, z in col.period))

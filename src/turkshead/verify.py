@@ -184,6 +184,13 @@ def propagate(t: thk.Triple, r: int | None, n: int) -> list[thk.Triple]:
     return out
 
 
+def arc_colors(col: thk.Coloring) -> list[int]:
+    """Sorted distinct x and z colors of col's propagated trace: its
+    palette recounted, never read from the stored `palette`."""
+    levels = propagate(col.input_triple, col.r, col.n)
+    return sorted({x for x, _, _ in levels} | {z for _, _, z in levels})
+
+
 def is_circular_shift(a: list[int], b: list[int]) -> bool:
     if len(a) != len(b):
         return False
@@ -361,14 +368,15 @@ def suite_mincol_exact(config: RunConfig) -> list[CheckResult]:
             failures.append(f"({n}, {r}): verdict {verdict.kind} [{verdict.lower}, {verdict.upper}]")
             continue
         witness = verdict.witness
-        if witness is None or not witness.validate() or witness.is_trivial:
+        if witness is None or not witness.validate():
             failures.append(f"({n}, {r}): witness missing or invalid")
             continue
         power = c_power_iterated(witness.n, witness.r)
         if not is_fixed_point(power, witness.r, witness.input_triple):
             failures.append(f"({n}, {r}): witness fails the closure test")
             continue
-        palette = len(witness.colors_used)
+        # every expected palette exceeds 1, so this also rejects a trivial witness
+        palette = len(arc_colors(witness))
         if palette != witness_palette:
             failures.append(
                 f"({n}, {r}): witness uses {palette} colors, expected {witness_palette}"
@@ -403,7 +411,7 @@ def _constructions(limit: int, want_odd: bool, failures: list[str]) -> list[thk.
         if p <= 5:
             continue
         try:
-            col = mincol.construct(p)[0]
+            col = mincol.construct(p)
         except AssertionError as exc:
             failures.append(f"p={p}: {exc}")
             continue
@@ -417,8 +425,9 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
     cases = _constructions(200, True, failures)
     for col in cases:
         p, q = col.r, col.n
-        palette = len(col.colors_used)
-        if not col.validate() or col.is_trivial:
+        colors = arc_colors(col)
+        palette = len(colors)
+        if not col.validate() or palette == 1:
             failures.append(f"p={p}: invalid or trivial coloring")
         levels = propagate(col.input_triple, p, q)[:-1]
         if not is_circular_shift([x for x, _, _ in levels], [z for _, _, z in levels]):
@@ -428,8 +437,8 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
         bound = mincol._estimate_bound(p, q)
         if palette > bound:
             failures.append(f"p={p}: palette {palette} exceeds the estimate {bound}")
-        if p == 11 and col.colors_used != [0, 1, 2, 4, 7]:
-            failures.append(f"p=11: palette {col.colors_used} != [0, 1, 2, 4, 7]")
+        if p == 11 and colors != [0, 1, 2, 4, 7]:
+            failures.append(f"p=11: palette {colors} != [0, 1, 2, 4, 7]")
     return [
         _result(
             "odd-constructions",
@@ -445,9 +454,9 @@ def suite_even_constructions(config: RunConfig) -> list[CheckResult]:
     cases = _constructions(200, False, failures)
     for col in cases:
         p, q = col.r, col.n
-        palette = len(col.colors_used)
+        palette = len(arc_colors(col))
         bound = mincol._estimate_bound(p, q)
-        if not col.validate() or col.is_trivial:
+        if not col.validate() or palette == 1:
             failures.append(f"p={p}: invalid or trivial coloring")
         if palette > bound:
             failures.append(f"p={p}: palette {palette} exceeds bound {bound}")

@@ -296,7 +296,7 @@ def json_the_old_way(command, *args):
     """stdout of `-f json mincol n r` or `-f json construct p` as it was
     printed, by json.dumps of a dict that held the whole trace."""
     if command == "construct":
-        return json.dumps(coloring_the_old_way(mincol.construct(*args)[0])) + "\n"
+        return json.dumps(coloring_the_old_way(mincol.construct(*args))) + "\n"
     verdict = mincol.mincol_exact(*args)
     witness = verdict.witness
     return json.dumps(
@@ -337,7 +337,7 @@ class TestColoringOutput:
 
     @pytest.mark.parametrize("p", [7, 11, 13, 101, 983, 200351])
     def test_plain_construct_same_bytes_as_one_print_per_level(self, capsys, p):
-        col, palette = mincol.construct(p)
+        col = mincol.construct(p)
         expected = [
             f"p = {p}, psi = {col.n}: input {tuple(col.input_triple)} colors "
             f"THK(3, {col.n}) with {len(col.colors_used)} colors {col.colors_used}\n"
@@ -348,7 +348,7 @@ class TestColoringOutput:
 
     def test_long_trace_in_bounded_memory(self):
         # about 11.6 MB of JSON, written from a period of 8 levels
-        verdict, palette = mincol.verdict_with_palette(10**6, 14)
+        verdict = mincol.mincol_exact(10**6, 14)
         written = 0
 
         def sink(text):
@@ -357,7 +357,7 @@ class TestColoringOutput:
 
         tracemalloc.start()
         try:
-            cli.write_json(verdict, palette, sink)
+            cli.write_json(verdict, sink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

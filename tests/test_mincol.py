@@ -140,22 +140,22 @@ class TestCommonPrimes:
 
 class TestOddConstruction:
     def test_p11_matches_pinned_example(self):
-        col, palette = mincol.construct(11)
+        col = mincol.construct(11)
         assert col.n == 5
         assert col.input_triple == (1, 7, 0)
-        assert palette == col.colors_used == [0, 1, 2, 4, 7]
+        assert col.colors_used == [0, 1, 2, 4, 7]
 
     def test_p29_within_bound(self):
-        col, palette = mincol.construct(29)
-        assert col.n == 7 and palette == col.colors_used and len(palette) <= 7
+        col = mincol.construct(29)
+        assert col.n == 7 and len(col.palette) <= 7
 
     def test_p19_valid(self):
-        col, _ = mincol.construct(19)
+        col = mincol.construct(19)
         assert col.n == 9 and col.validate() and len(col.colors_used) <= 9
 
     def test_rotation_property(self):
         for p in (11, 19, 29, 31):
-            col, _ = mincol.construct(p)
+            col = mincol.construct(p)
             assert col.n % 2 == 1
             levels = verify.propagate(col.input_triple, col.r, col.n)[:-1]
             assert verify.is_circular_shift([x for x, _, _ in levels], [z for _, _, z in levels])
@@ -164,7 +164,7 @@ class TestOddConstruction:
         # psi(200351) = 100175, so a shift check that tries every rotation,
         # quadratic in psi, would take ~13 s
         start = time.perf_counter()
-        col, _ = mincol.construct(200351)
+        col = mincol.construct(200351)
         assert col.n == 100175
         assert time.perf_counter() - start < 2
 
@@ -174,19 +174,49 @@ class TestOddConstruction:
                 mincol.construct(p)
 
 
+def kernel_input(p, q):
+    """The odd construction's input (1, s, 0), from the 2x2 kernel system
+    that _odd_psi_coloring's closed form replaces, solved row by row: the
+    reference the formula is checked against.
+    """
+    m00 = (seq.u_mod(q, p) + 1) % p
+    m01 = (-seq.u_mod(q - 2, p) - 1) % p
+    m10 = (seq.u_mod(q - 2, p) + 1) % p
+    m11 = (-seq.u_mod(q - 4, p) - 2) % p
+    assert (m00 * m11 - m01 * m10) % p == 0
+    if (m00, m01) != (0, 0):
+        w, other = (m01, (-m00) % p), (m10, m11)
+    else:
+        w, other = (m11, (-m10) % p), (m00, m01)
+    assert w != (0, 0) and (other[0] * w[0] + other[1] * w[1]) % p == 0
+    assert (w[0] - w[1]) % p != 0
+    return (1, zmod.mod_inverse(w[0] - w[1], p) * w[1] % p, 0)
+
+
+def test_odd_formula_matches_the_kernel_solve_below_5000():
+    checked = 0
+    for p in zmod.primes_up_to(5000):
+        q = psi.psi_of_prime(p)
+        if p <= 5 or q % 2 == 0:
+            continue
+        assert mincol.construct(p).input_triple == kernel_input(p, q), p
+        checked += 1
+    assert checked > 200
+
+
 class TestEvenConstruction:
     def test_p7_matches_pinned_trace(self):
-        col, palette = mincol.construct(7)
+        col = mincol.construct(7)
         assert col.n == 8 and col.validate()
         assert tuple(verify.propagate(col.input_triple, col.r, col.n)) == (
             (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
             (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
         )
-        assert palette == col.colors_used and len(palette) == 7
+        assert len(col.palette) == 7
 
     def test_p13_within_bound(self):
-        col, palette = mincol.construct(13)
-        assert col.n == 14 and palette == col.colors_used and len(palette) <= 9
+        col = mincol.construct(13)
+        assert col.n == 14 and len(col.palette) <= 9
 
     def test_guards(self, monkeypatch):
         monkeypatch.setattr(mincol, "psi_of_prime", lambda p: pytest.fail(f"psi({p}) computed"))
@@ -237,8 +267,8 @@ class TestEstimate:
         for p in zmod.primes_up_to(200):
             if p <= 11:
                 continue
-            col, palette = mincol.construct(p)
-            assert mincol._estimate_bound(p, col.n) >= len(palette)
+            col = mincol.construct(p)
+            assert mincol._estimate_bound(p, col.n) >= len(col.palette)
 
     def test_odd_bound_is_eulers_criterion_and_at_least_psi(self):
         # the proof in _estimate_bound's docstring, checked prime by prime
@@ -311,7 +341,7 @@ class TestVerdicts:
 
     def test_verdict_json_schema(self):
         out = []
-        cli.write_json(*mincol.verdict_with_palette(5, 11), out.append)
+        cli.write_json(mincol.mincol_exact(5, 11), out.append)
         data = json.loads("".join(out))
         assert list(data) == ["n", "r", "kind", "lower", "upper", "provenance", "witness"]
         assert data["witness"]["input"] == [1, 7, 0]
@@ -323,6 +353,14 @@ class TestVerdicts:
             assert witness is not None and witness.validate() and not witness.is_trivial
             power = verify.c_power_iterated(witness.n, witness.r)
             assert verify.is_fixed_point(power, witness.r, witness.input_triple)
+
+    def test_witness_palettes_are_the_propagated_ones(self):
+        # lifted and stacked witnesses included: _transport scales the palette
+        for n in range(1, 31):
+            for r in range(2, 31):
+                witness = mincol.mincol_exact(n, r).witness
+                if witness is not None:
+                    assert witness.palette == tuple(verify.arc_colors(witness)), (n, r)
 
     def test_long_braid_verdict_in_bounded_memory(self):
         # the witness keeps one period however long the braid, so memory
@@ -395,6 +433,21 @@ class TestTransport:
             direct = thk.Coloring.from_input(n, r, t)
             assert carried == direct and hash(carried) == hash(direct)
 
+    def test_stack_only_shares_the_period_and_revalidates(self, monkeypatch):
+        col = thk.Coloring.from_input(5, 11, (1, 7, 0))
+        checked = []
+        validate = thk.Coloring.validate
+        monkeypatch.setattr(
+            thk.Coloring, "validate", lambda self: checked.append(self) or validate(self)
+        )
+        stacked, steps = mincol._transport(col, 15, 11)
+        assert steps == ["stack(k=3)"] and stacked.n == 15
+        assert stacked.period is col.period and stacked.palette is col.palette
+        assert checked == [stacked]
+        corrupt = col._replace(period=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 3)))
+        with pytest.raises(AssertionError, match="failed revalidation"):
+            mincol._transport(corrupt, 15, 11)
+
     def test_stack_two_coloring(self):
         col = thk.Coloring.from_input(3, 2, (0, 0, 1))
         stacked = mincol._transport(col, 9, 6)[0]
@@ -417,7 +470,7 @@ def test_verdict_grid_digest():
     for n in range(1, 61):
         for r in range(2, 61):
             out = []
-            cli.write_json(*mincol.verdict_with_palette(n, r), out.append)
+            cli.write_json(mincol.mincol_exact(n, r), out.append)
             digest.update("".join(out).encode())
     assert digest.hexdigest() == (
         "be78e24967e1756cb7b58475433c7a8d3b4cf9b6afebc60a2e333090f968ba15"

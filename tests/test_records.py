@@ -6,7 +6,8 @@ from turkshead import mincol, psi, thk, verify
 from turkshead.config import RunConfig
 
 _WITNESS_5_11 = (
-    "Coloring(n=5, r=11, period=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 2)))"
+    "Coloring(n=5, r=11, period=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 2)), "
+    "palette=(0, 1, 2, 4, 7))"
 )
 
 RECORDS = [

@@ -54,6 +54,12 @@ class TestColoring:
         col = thk.Coloring.from_input(4, 9, (2, 2, 2))
         assert col.is_trivial and len(col.colors_used) == 1
 
+    def test_stored_palette_is_the_propagated_one(self):
+        for n in range(1, 13):
+            for r in range(2, 13):
+                for col in verify.enumerate_colorings(n, r):
+                    assert col.palette == tuple(verify.arc_colors(col)), (n, r, col.input_triple)
+
     def test_seven_coloring_palette(self):
         col = thk.Coloring.from_input(8, 7, (0, 1, 0))
         assert len(col.colors_used) == 7
@@ -77,7 +83,7 @@ class TestColoring:
     def test_json_round_trip(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         out = []
-        cli.write_json(col, col.colors_used, out.append)
+        cli.write_json(col, out.append)
         data = json.loads("".join(out))
         assert data == {
             "n": 5,
@@ -94,7 +100,7 @@ class TestColoring:
         period[2] = (9, 9, 9)
         assert not col._replace(period=tuple(period)).validate()
         # every step holds but the last, back to level 0
-        assert not thk.Coloring(2, 5, tuple(verify.propagate((0, 1, 0), 5, 1))).validate()
+        assert not thk.Coloring(2, 5, tuple(verify.propagate((0, 1, 0), 5, 1)), (0, 4)).validate()
 
     def test_validate_rejects_period_not_dividing_n(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
