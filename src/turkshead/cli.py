@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 from . import mincol, zmod
 from .config import OUTPUT_FORMATS, BudgetExceededError, RunConfig, config_from_env
-from .psi import prime_psi_stats, psi, psi_table, usage_ratios
+from .psi import prime_psi_stats, psi, psi_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,12 +62,6 @@ def _emit_json(payload) -> None:
     import json
 
     print(json.dumps(payload))
-
-
-def _emit_csv(rows: list[tuple]) -> None:
-    import csv
-
-    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _check_printable(digits: int, what: str) -> None:
@@ -108,7 +102,7 @@ def cmd_det(args, config: RunConfig) -> int:
 def cmd_psi(args, config: RunConfig) -> int:
     result = psi(args.r, config.psi_scan_cap)
     if config.output_format == "json":
-        _emit_json(result.to_json_dict())
+        _emit_json({"r": result.r, "psi": result.psi, "steps_scanned": result.steps_scanned})
     else:
         print(f"psi({args.r}) = {result.psi} ({result.steps_scanned} residues scanned)")
     return EXIT_OK
@@ -254,9 +248,11 @@ def cmd_construct(args, config: RunConfig) -> int:
 def cmd_stats(args, config: RunConfig) -> int:
     stats = prime_psi_stats(args.prime_count)
     if config.output_format == "json":
-        _emit_json(stats.to_json_dict())
+        _emit_json(
+            {"count": stats.prime_count, "matched": stats.matched, "ratio": float(stats.ratio)}
+        )
     elif config.output_format == "csv":
-        _emit_csv([(stats.prime_count, stats.matched, float(stats.ratio))])
+        print("%d,%d,%r" % (stats.prime_count, stats.matched, float(stats.ratio)))
     else:
         print(
             f"first {stats.prime_count} primes: {stats.matched} have psi(p) = p + 1 "
@@ -266,7 +262,7 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 
 def cmd_usage(args, config: RunConfig) -> int:
-    rows = usage_ratios(args.prime_count)
+    rows = mincol.usage_ratios(args.prime_count)
     if config.output_format == "json":
         _emit_json(
             {
@@ -276,7 +272,7 @@ def cmd_usage(args, config: RunConfig) -> int:
             }
         )
     elif config.output_format == "csv":
-        _emit_csv([(p, float(x)) for p, x in rows])
+        sys.stdout.write("".join(["%d,%r\n" % (p, float(x)) for p, x in rows]))
     else:
         for p, x in rows:
             print(f"p = {p}: {float(x):.6f} of the {p} colors used")

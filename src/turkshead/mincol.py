@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import seq, thk, zmod
-from .psi import psi_of_prime
+from .psi import first_usage_primes, psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import Coloring, min_colors_standard
 from .zmod import check_modulus
@@ -180,6 +180,26 @@ def _estimate_bound(p: int, q: int) -> int:
     return q - 1 if q % 4 == 0 else q - 5
 
 
+def usage_ratios(count: int) -> list[tuple[int, Fraction]]:
+    """(p, ratio) for each of the psi.first_usage_primes(count), ascending.
+
+    For a prime p > 7 with psi(p) = p + 1, every input colors THK(3, psi(p))
+    mod p.  The ratio propagates the probes (0, 1, 0) and (1, 2, 0) and
+    divides the larger palette size by p.  first_usage_primes has proved
+    each p prime with psi(p) = p + 1, so neither is proved again.
+    """
+    from fractions import Fraction  # deferred: most CLI calls never build a ratio
+
+    rows = []
+    for p in first_usage_primes(count):
+        palettes = [
+            len(Coloring.from_input(p + 1, p, probe).palette)
+            for probe in ((0, 1, 0), (1, 2, 0))
+        ]
+        rows.append((p, Fraction(max(palettes), p)))
+    return rows
+
+
 # -- verdicts ------------------------------------------------------------------
 
 class MincolVerdict(
@@ -295,9 +315,10 @@ def mincol_exact(
         found = min_colors_standard(n, r, budget)
         if found is None:
             raise AssertionError(f"nontrivial colorings vanished at ({n}, {r})")
-        provenance.append(f"upper-route-standard-diagram-search({found[0]})")
-        if found[0] < colors:
-            (colors, witness), label = found, "standard-diagram-search"
+        size = len(found.palette)
+        provenance.append(f"upper-route-standard-diagram-search({size})")
+        if size < colors:
+            colors, witness, label = size, found, "standard-diagram-search"
     provenance.append(f"upper-from-{label}")
     kind = "exact" if colors == 5 else "bounds"
     return MincolVerdict(n, r, kind, 5, colors, witness, tuple(provenance))

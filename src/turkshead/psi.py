@@ -28,14 +28,11 @@ import bisect
 import math
 from collections import namedtuple
 
-from . import seq, thk, zmod
+from . import seq, zmod
 from .config import DEFAULT_PSI_SCAN_CAP, BudgetExceededError
 
 class PsiValue(namedtuple("PsiValue", "r psi steps_scanned")):
     __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "psi": self.psi, "steps_scanned": self.steps_scanned}
 
 
 def psi(r: int, cap: int = DEFAULT_PSI_SCAN_CAP) -> PsiValue:
@@ -205,13 +202,6 @@ def psi_of_prime(p: int, k: int = 1) -> int:
 class PrimeStats(namedtuple("PrimeStats", "prime_count matched ratio")):
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.prime_count,
-            "matched": self.matched,
-            "ratio": float(self.ratio),
-        }
-
 
 def prime_psi_matches(count: int) -> list[bool]:
     """For each of the first `count` primes, ascending, whether psi(p) = p + 1.
@@ -306,23 +296,3 @@ def first_usage_primes(count: int) -> list[int]:
         if len(out) >= count:
             return out[:count]
         done, limit = limit, 2 * limit
-
-
-def usage_ratios(count: int) -> list[tuple[int, Fraction]]:
-    """(p, ratio) for each of the first_usage_primes(count), ascending.
-
-    For a prime p > 7 with psi(p) = p + 1, every input colors THK(3, psi(p))
-    mod p.  The ratio propagates the probes (0, 1, 0) and (1, 2, 0) and
-    divides the larger palette size by p.  first_usage_primes has proved
-    each p prime with psi(p) = p + 1, so neither is proved again.
-    """
-    from fractions import Fraction
-
-    rows = []
-    for p in first_usage_primes(count):
-        palettes = [
-            len(thk.Coloring.from_input(p + 1, p, probe).palette)
-            for probe in ((0, 1, 0), (1, 2, 0))
-        ]
-        rows.append((p, Fraction(max(palettes), p)))
-    return rows

@@ -75,15 +75,6 @@ class Coloring(namedtuple("Coloring", "n r period palette")):
     def input_triple(self) -> Triple:
         return self.period[0]
 
-    @property
-    def colors_used(self) -> list[int]:
-        """Sorted distinct arc colors: the stored palette as a list."""
-        return list(self.palette)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.palette) == 1
-
     def validate(self) -> bool:
         """Check that the period length m divides n, then every block step
         around the period, from level m - 1 back to level 0 included."""
@@ -133,12 +124,13 @@ def _translation_representatives(n: int, r: int, gu: int, g5: int) -> Iterator[T
 
 def min_colors_standard(
     n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> tuple[int, Coloring] | None:
+) -> Coloring | None:
     """Minimum palette over nontrivial colorings of the standard diagram.
 
-    Returns (count, lexicographically least witness), or None when only
-    trivial colorings exist.  This is an upper bound for the diagram-free
-    minimum, which ranges over all diagrams of the knot.
+    Returns the lexicographically least witness, whose palette has the
+    minimum size, or None when only trivial colorings exist.  This is an
+    upper bound for the diagram-free minimum, which ranges over all
+    diagrams of the knot.
 
     Translating every color by t maps colorings to colorings and keeps the
     palette size, so only the gu * g5 representatives (a, b, 0) matter, not
@@ -173,6 +165,4 @@ def min_colors_standard(
         key = (k, min((0, (y - x) % r, (z - x) % r) for x, y, z in col.period))
         if best is None or key < best:
             best = key
-    if best is None:
-        return None
-    return best[0], Coloring.from_input(n, r, best[1])
+    return None if best is None else Coloring.from_input(n, r, best[1])

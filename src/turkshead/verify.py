@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import mincol, seq, thk, zmod
-from .psi import prime_psi_matches, psi_table, usage_ratios
+from .psi import prime_psi_matches, psi_table
 from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError, RunConfig
 
 #: Frozen reference values for psi(r), 2 <= r <= 185, kept verbatim from the
@@ -184,10 +184,11 @@ def propagate(t: thk.Triple, r: int | None, n: int) -> list[thk.Triple]:
     return out
 
 
-def arc_colors(col: thk.Coloring) -> list[int]:
-    """Sorted distinct x and z colors of col's propagated trace: its
-    palette recounted, never read from the stored `palette`."""
-    levels = propagate(col.input_triple, col.r, col.n)
+def arc_colors(t: thk.Triple, r: int, n: int) -> list[int]:
+    """Sorted distinct x and z colors of propagate(t, r, n): the palette of
+    the coloring of THK(3, n) mod r with input t, recounted, never read
+    from a stored `palette`."""
+    levels = propagate(t, r, n)
     return sorted({x for x, _, _ in levels} | {z for _, _, z in levels})
 
 
@@ -199,13 +200,13 @@ def is_circular_shift(a: list[int], b: list[int]) -> bool:
 
 def enumerate_colorings(
     n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> list[thk.Coloring]:
-    """All colorings of THK(3, n) mod r, by scanning every input triple.
+) -> list[thk.Triple]:
+    """The inputs of all colorings of THK(3, n) mod r, by scanning every
+    input triple, in lexicographic (a, b, c) order.
 
     Deliberately dumb: the fixed-point test uses the iterated matrix power,
-    and each hit is re-expanded by Coloring.from_input, so this is the
-    oracle the counting formula is checked against.  Inputs come back in
-    lexicographic (a, b, c) order.
+    and nothing of turkshead.thk runs, so this is the oracle the counting
+    formula and the coloring walks are checked against.
     """
     if n < 1:
         raise ValueError("diagram needs at least one block")
@@ -215,11 +216,7 @@ def enumerate_colorings(
             f"{r}^3 = {r**3} triples exceed the oracle budget {budget}"
         )
     power = c_power_iterated(n, r)
-    return [
-        thk.Coloring.from_input(n, r, t)
-        for t in itertools.product(range(r), repeat=3)
-        if is_fixed_point(power, r, t)
-    ]
+    return [t for t in itertools.product(range(r), repeat=3) if is_fixed_point(power, r, t)]
 
 
 _BINET_MAX_INDEX = 60
@@ -376,7 +373,7 @@ def suite_mincol_exact(config: RunConfig) -> list[CheckResult]:
             failures.append(f"({n}, {r}): witness fails the closure test")
             continue
         # every expected palette exceeds 1, so this also rejects a trivial witness
-        palette = len(arc_colors(witness))
+        palette = len(arc_colors(witness.input_triple, witness.r, witness.n))
         if palette != witness_palette:
             failures.append(
                 f"({n}, {r}): witness uses {palette} colors, expected {witness_palette}"
@@ -384,8 +381,9 @@ def suite_mincol_exact(config: RunConfig) -> list[CheckResult]:
     # the one case whose witness exceeds the verdict: confirm the standard
     # diagram truly cannot do better than 7 there
     best = thk.min_colors_standard(8, 7, config.brute_force_budget)
-    if best is None or best[0] != 7:
-        failures.append(f"standard-diagram minimum for (8, 7) is {best and best[0]}, expected 7")
+    floor = best and len(arc_colors(best.input_triple, 7, 8))
+    if floor != 7:
+        failures.append(f"standard-diagram minimum for (8, 7) is {floor}, expected 7")
     return [
         _result(
             "mincol-exact",
@@ -425,7 +423,7 @@ def suite_odd_constructions(config: RunConfig) -> list[CheckResult]:
     cases = _constructions(200, True, failures)
     for col in cases:
         p, q = col.r, col.n
-        colors = arc_colors(col)
+        colors = arc_colors(col.input_triple, p, q)
         palette = len(colors)
         if not col.validate() or palette == 1:
             failures.append(f"p={p}: invalid or trivial coloring")
@@ -454,7 +452,7 @@ def suite_even_constructions(config: RunConfig) -> list[CheckResult]:
     cases = _constructions(200, False, failures)
     for col in cases:
         p, q = col.r, col.n
-        palette = len(arc_colors(col))
+        palette = len(arc_colors(col.input_triple, p, q))
         bound = mincol._estimate_bound(p, q)
         if not col.validate() or palette == 1:
             failures.append(f"p={p}: invalid or trivial coloring")
@@ -690,8 +688,8 @@ def suite_nonsplit(config: RunConfig) -> list[CheckResult]:
         if count != r:
             failures.append(f"(n={n}, r={r}): formula count {count} != {r}")
             continue
-        colorings = enumerate_colorings(n, r, config.brute_force_budget)
-        if len(colorings) != r or any(not col.is_trivial for col in colorings):
+        inputs = enumerate_colorings(n, r, config.brute_force_budget)
+        if len(inputs) != r or any(len(arc_colors(t, r, n)) != 1 for t in inputs):
             failures.append(f"(n={n}, r={r}): oracle found nontrivial colorings")
     return [
         _result(
@@ -707,7 +705,7 @@ def suite_nonsplit(config: RunConfig) -> list[CheckResult]:
 
 def suite_color_usage(config: RunConfig) -> list[CheckResult]:
     lo, hi = USAGE_WINDOW
-    rows = usage_ratios(25)
+    rows = mincol.usage_ratios(25)
     failures = [
         f"p={p}: ratio {float(ratio):.4f} outside [{float(lo)}, {float(hi)}]"
         for p, ratio in rows

@@ -83,13 +83,14 @@ class TestBasicCommands:
     def test_usage_reuses_the_certificates(self, capsys, monkeypatch):
         # first_usage_primes has proved each prime and psi(p) = p + 1, so
         # the ratios neither retest primality nor descend to psi again
-        expected = [float(ratio) for _, ratio in psi.usage_ratios(25)]
+        expected = [float(ratio) for _, ratio in mincol.usage_ratios(25)]
 
         def refuse(*args):
             raise AssertionError("usage re-proved a certified prime")
 
         monkeypatch.setattr(zmod, "is_prime", refuse)
         monkeypatch.setattr(psi, "psi_of_prime", refuse)
+        monkeypatch.setattr(mincol, "psi_of_prime", refuse)
         code, out, _ = run(capsys, "-f", "json", "usage", "25")
         assert code == 0
         assert [row["ratio"] for row in json.loads(out)["primes"]] == expected
@@ -288,7 +289,7 @@ def coloring_the_old_way(col):
         "r": col.r,
         "input": list(col.input_triple),
         "trace": [list(level) for level in verify.propagate(col.input_triple, col.r, col.n)],
-        "colors_used": col.colors_used,
+        "colors_used": list(col.palette),
     }
 
 
@@ -340,7 +341,7 @@ class TestColoringOutput:
         col = mincol.construct(p)
         expected = [
             f"p = {p}, psi = {col.n}: input {tuple(col.input_triple)} colors "
-            f"THK(3, {col.n}) with {len(col.colors_used)} colors {col.colors_used}\n"
+            f"THK(3, {col.n}) with {len(col.palette)} colors {list(col.palette)}\n"
         ]
         levels = verify.propagate(col.input_triple, col.r, col.n)
         expected += [f"  level {level}: {triple}\n" for level, triple in enumerate(levels)]

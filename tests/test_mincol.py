@@ -143,7 +143,7 @@ class TestOddConstruction:
         col = mincol.construct(11)
         assert col.n == 5
         assert col.input_triple == (1, 7, 0)
-        assert col.colors_used == [0, 1, 2, 4, 7]
+        assert col.palette == (0, 1, 2, 4, 7)
 
     def test_p29_within_bound(self):
         col = mincol.construct(29)
@@ -151,7 +151,7 @@ class TestOddConstruction:
 
     def test_p19_valid(self):
         col = mincol.construct(19)
-        assert col.n == 9 and col.validate() and len(col.colors_used) <= 9
+        assert col.n == 9 and col.validate() and len(col.palette) <= 9
 
     def test_rotation_property(self):
         for p in (11, 19, 29, 31):
@@ -293,28 +293,28 @@ class TestVerdicts:
     def test_witness_of_5_11_is_the_construction(self):
         verdict = mincol.mincol_exact(5, 11)
         assert verdict.witness.input_triple == (1, 7, 0)
-        assert verdict.witness.colors_used == [0, 1, 2, 4, 7]
+        assert verdict.witness.palette == (0, 1, 2, 4, 7)
 
     def test_85_143_via_transport(self):
         verdict = mincol.mincol_exact(85, 143)
         assert verdict.kind == "exact" and verdict.lower == 5
         witness = verdict.witness
         assert witness.n == 85 and witness.r == 143
-        assert witness.validate() and len(witness.colors_used) == 5
+        assert witness.validate() and len(witness.palette) == 5
         assert any("stack" in step for step in verdict.provenance)
         assert any("lift" in step for step in verdict.provenance)
 
     def test_stacked_lifted_exact_two(self):
         verdict = mincol.mincol_exact(6, 10)
         assert verdict.kind == "exact" and verdict.lower == 2
-        assert verdict.witness.colors_used == [0, 5]
+        assert verdict.witness.palette == (0, 5)
 
     def test_8_7_witness_floor(self):
         verdict = mincol.mincol_exact(8, 7)
         assert verdict.kind == "exact" and verdict.lower == 4
         # the standard diagram cannot realize 4 colors mod 7; the verdict
         # still carries the best standard witness, which needs 7
-        assert len(verdict.witness.colors_used) == 7
+        assert len(verdict.witness.palette) == 7
 
     def test_only_trivial(self):
         verdict = mincol.mincol_exact(5, 7)
@@ -337,7 +337,7 @@ class TestVerdicts:
     def test_bounds_of_10_11_close_to_exact(self):
         verdict = mincol.mincol_exact(10, 11)
         assert verdict.kind == "exact" and verdict.lower == 5
-        assert len(verdict.witness.colors_used) == 5
+        assert len(verdict.witness.palette) == 5
 
     def test_verdict_json_schema(self):
         out = []
@@ -350,7 +350,7 @@ class TestVerdicts:
         for n, r in [(3, 2), (4, 3), (2, 5), (8, 7), (5, 11), (85, 143), (6, 10), (16, 21)]:
             verdict = mincol.mincol_exact(n, r)
             witness = verdict.witness
-            assert witness is not None and witness.validate() and not witness.is_trivial
+            assert witness is not None and witness.validate() and len(witness.palette) > 1
             power = verify.c_power_iterated(witness.n, witness.r)
             assert verify.is_fixed_point(power, witness.r, witness.input_triple)
 
@@ -360,7 +360,8 @@ class TestVerdicts:
             for r in range(2, 31):
                 witness = mincol.mincol_exact(n, r).witness
                 if witness is not None:
-                    assert witness.palette == tuple(verify.arc_colors(witness)), (n, r)
+                    recount = verify.arc_colors(witness.input_triple, witness.r, witness.n)
+                    assert witness.palette == tuple(recount), (n, r)
 
     def test_long_braid_verdict_in_bounded_memory(self):
         # the witness keeps one period however long the braid, so memory
@@ -395,18 +396,18 @@ class TestTransport:
         col = thk.Coloring.from_input(3, 2, (0, 0, 1))
         lifted, steps = mincol._transport(col, 3, 4)
         assert steps == ["lift(2->4)"]
-        assert lifted.r == 4 and lifted.colors_used == [0, 2]
+        assert lifted.r == 4 and lifted.palette == (0, 2)
         assert verify.is_fixed_point(verify.c_power_iterated(3, 4), 4, lifted.input_triple)
 
     def test_lift_trivial_stays_trivial(self):
         col = thk.Coloring.from_input(2, 5, (3, 3, 3))
-        assert mincol._transport(col, 2, 10)[0].is_trivial
+        assert len(mincol._transport(col, 2, 10)[0].palette) == 1
 
     def test_lift_preserves_palette_size(self):
         col = thk.Coloring.from_input(2, 5, (3, 1, 0))
-        assert len(col.colors_used) == 4
+        assert len(col.palette) == 4
         lifted = mincol._transport(col, 2, 10)[0]
-        assert len(lifted.colors_used) == 4 and not lifted.is_trivial
+        assert len(lifted.palette) == 4
 
     def test_lift_rejects_non_divisor(self):
         col = thk.Coloring.from_input(3, 2, (0, 0, 1))
@@ -422,7 +423,7 @@ class TestTransport:
         stacked, steps = mincol._transport(col, 10, 11)
         assert steps == ["stack(k=2)"]
         assert stacked.n == 10 and stacked.validate()
-        assert len(stacked.colors_used) == 5
+        assert len(stacked.palette) == 5
         assert stacked.period == tuple(verify.propagate((1, 7, 0), 11, 4))
 
     def test_equality_follows_the_levels(self):
@@ -451,7 +452,7 @@ class TestTransport:
     def test_stack_two_coloring(self):
         col = thk.Coloring.from_input(3, 2, (0, 0, 1))
         stacked = mincol._transport(col, 9, 6)[0]
-        assert stacked.n == 9 and len(stacked.colors_used) == 2
+        assert stacked.n == 9 and len(stacked.palette) == 2
         assert stacked == thk.Coloring.from_input(3, 6, (0, 0, 3))._replace(n=9)
 
     @pytest.mark.parametrize("n", [0, 7])

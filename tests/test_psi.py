@@ -453,11 +453,11 @@ class TestPrimeSweepCertificate:
 class TestColorUsage:
     def test_first_qualifying_prime(self):
         # palettes from (0,1,0) and (1,2,0) on THK(3, 14) mod 13 are 9 and 12
-        assert psi.usage_ratios(1) == [(13, Fraction(12, 13))]
+        assert mincol.usage_ratios(1) == [(13, Fraction(12, 13))]
 
     def test_p_37(self):
         # 37 is the fourth prime p > 7 with psi(p) = p + 1, after 13, 17, 23
-        assert psi.usage_ratios(4)[3] == (37, Fraction(29, 37))
+        assert mincol.usage_ratios(4)[3] == (37, Fraction(29, 37))
 
 
 class TestUsagePrimes:

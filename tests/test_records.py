@@ -66,7 +66,7 @@ class TestRecords:
 def test_coloring_from_input_is_a_coloring():
     col = thk.Coloring.from_input(5, 11, (1, 7, 0))
     assert type(col) is thk.Coloring
-    assert col.colors_used == [0, 1, 2, 4, 7]
+    assert col.palette == (0, 1, 2, 4, 7)
 
 
 class TestRunConfig:

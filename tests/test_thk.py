@@ -23,12 +23,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("r", range(2, 10))
     def test_reduced_path_agrees_with_oracle(self, n, r):
-        oracle = [c.input_triple for c in verify.enumerate_colorings(n, r)]
+        oracle = verify.enumerate_colorings(n, r)
         assert self.translates_of_representatives(n, r) == oracle
 
     @pytest.mark.parametrize("n, r", [(8, 7), (10, 11), (12, 16), (9, 15)])
     def test_reduced_path_agrees_on_resonant_cases(self, n, r):
-        oracle = [c.input_triple for c in verify.enumerate_colorings(n, r)]
+        oracle = verify.enumerate_colorings(n, r)
         assert self.translates_of_representatives(n, r) == oracle
 
 
@@ -48,21 +48,22 @@ class TestColoring:
 
     def test_known_five_color_palette(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        assert col.colors_used == [0, 1, 2, 4, 7]
+        assert col.palette == (0, 1, 2, 4, 7)
 
     def test_trivial_palette(self):
         col = thk.Coloring.from_input(4, 9, (2, 2, 2))
-        assert col.is_trivial and len(col.colors_used) == 1
+        assert col.palette == (2,)
 
     def test_stored_palette_is_the_propagated_one(self):
         for n in range(1, 13):
             for r in range(2, 13):
-                for col in verify.enumerate_colorings(n, r):
-                    assert col.palette == tuple(verify.arc_colors(col)), (n, r, col.input_triple)
+                for t in verify.enumerate_colorings(n, r):
+                    col = thk.Coloring.from_input(n, r, t)
+                    assert col.palette == tuple(verify.arc_colors(t, r, n)), (n, r, t)
 
     def test_seven_coloring_palette(self):
         col = thk.Coloring.from_input(8, 7, (0, 1, 0))
-        assert len(col.colors_used) == 7
+        assert len(col.palette) == 7
         assert col.period == tuple(SEVEN_COLORING_TRACE[:-1])
 
     def test_sequences_and_shift_structure(self):
@@ -114,8 +115,9 @@ class TestColoring:
         # period repeated over twice as many blocks
         for n in range(1, 31):
             for r in range(2, 21):
-                for col in verify.enumerate_colorings(n, r):
-                    t, m = col.input_triple, len(col.period)
+                for t in verify.enumerate_colorings(n, r):
+                    col = thk.Coloring.from_input(n, r, t)
+                    m = len(col.period)
                     doubled = col._replace(n=2 * n)
                     assert doubled.validate()
                     for i, level in enumerate(verify.propagate(t, r, 2 * n)):
@@ -128,10 +130,9 @@ class TestMinColorsStandard:
         [(3, 2, 2, (0, 0, 1)), (2, 5, 4, (0, 1, 4)), (4, 3, 3, (0, 0, 1)), (8, 7, 7, (0, 0, 1))],
     )
     def test_minima_and_lex_least_witness(self, n, r, expected, witness):
-        result = thk.min_colors_standard(n, r)
-        assert result is not None
-        count, coloring = result
-        assert count == expected and coloring.input_triple == witness
+        coloring = thk.min_colors_standard(n, r)
+        assert coloring is not None
+        assert len(coloring.palette) == expected and coloring.input_triple == witness
 
     def test_only_trivial_returns_none(self):
         assert thk.min_colors_standard(5, 7) is None
@@ -146,9 +147,9 @@ class TestMinColorsStandard:
         # propagated levels, paired with the lex-least input reaching it
         # (enumerate_colorings is lex ordered)
         expected = None
-        for col in verify.enumerate_colorings(n, r):
-            xs, _, zs = zip(*verify.propagate(col.input_triple, r, n))
-            pair = (len(set(xs).union(zs)), col.input_triple)
+        for t in verify.enumerate_colorings(n, r):
+            xs, _, zs = zip(*verify.propagate(t, r, n))
+            pair = (len(set(xs).union(zs)), t)
             if pair[0] > 1 and (expected is None or pair < expected):
                 expected = pair
         return expected
@@ -158,17 +159,17 @@ class TestMinColorsStandard:
             for r in range(2, 21):
                 expected = self.oracle_minimum(n, r)
                 found = thk.min_colors_standard(n, r)
-                got = found and (found[0], found[1].input_triple)
+                got = found and (len(found.palette), found.input_triple)
                 assert got == expected, (n, r)
                 if found is not None:
-                    assert found[1] == thk.Coloring.from_input(n, r, expected[1])
+                    assert found == thk.Coloring.from_input(n, r, expected[1])
 
     @pytest.mark.parametrize("n, r, period", [(42, 13, 14), (54, 17, 18), (48, 23, 24)])
     def test_agrees_with_the_oracle_beyond_one_period(self, n, r, period):
         # n is several times the orbit length of the witness
         expected = self.oracle_minimum(n, r)
-        count, witness = thk.min_colors_standard(n, r)
-        assert (count, witness.input_triple) == expected
+        witness = thk.min_colors_standard(n, r)
+        assert (len(witness.palette), witness.input_triple) == expected
         assert len(witness.period) == period
         assert witness.period == tuple(verify.propagate(expected[1], r, period - 1))
 
@@ -182,7 +183,7 @@ class TestMinColorsStandard:
         )
         for n, r, palette in [(7, 29, 7), (196, 13, 9)]:
             calls.clear()
-            assert thk.min_colors_standard(n, r)[0] == palette
+            assert len(thk.min_colors_standard(n, r).palette) == palette
             # the levels of one orbit, translated to third color 0, are the
             # nontrivial representatives of one class each
             gu, g5 = thk._reduced_system_params(n, r)
@@ -198,10 +199,9 @@ class TestMinColorsStandard:
 
     def test_matches_exhaustive_minimum(self):
         for n, r in [(5, 11), (7, 29)]:
-            best = thk.min_colors_standard(n, r)[0]
-            brute = min(
-                len(c.colors_used)
-                for c in verify.enumerate_colorings(n, r)
-                if not c.is_trivial
-            )
+            best = len(thk.min_colors_standard(n, r).palette)
+            palettes = [
+                thk.Coloring.from_input(n, r, t).palette for t in verify.enumerate_colorings(n, r)
+            ]
+            brute = min(len(palette) for palette in palettes if len(palette) > 1)
             assert best == brute

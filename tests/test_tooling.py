@@ -10,6 +10,9 @@ import turkshead
 #: every module of the package but verify, whose oracles no command reaches
 COMMAND_MODULES = ("zmod", "seq", "psi", "thk", "mincol", "cli", "config")
 
+#: the command modules in layer order: each imports only earlier ones
+LAYER_ORDER = ("config", "zmod", "seq", "psi", "thk", "mincol", "cli")
+
 
 def calls_of(source: str, name: str) -> list[ast.Call]:
     """Each call name(...) in `source`."""
@@ -57,3 +60,28 @@ def test_only_seq_climbs_the_ladder(module):
     # that hold the ladder against the residue stream
     path = Path(turkshead.__file__).with_name(f"{module}.py")
     assert [node.lineno for node in calls_of(path.read_text(), "bin")] == [], path.name
+
+
+def relative_imports(source: str) -> list[str]:
+    """The package modules that the top-level statements of `source` import
+    (deferred imports, inside functions, are not counted)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names += [node.module] if node.module else [alias.name for alias in node.names]
+    return names
+
+
+def test_finds_relative_imports():
+    source = "import os\nfrom . import seq, zmod\nfrom .psi import psi\n"
+    source += "def f():\n    from . import verify\n"
+    assert relative_imports(source) == ["seq", "zmod", "psi"]
+
+
+def test_modules_import_only_earlier_layers():
+    breaks = []
+    for index, module in enumerate(LAYER_ORDER):
+        path = Path(turkshead.__file__).with_name(f"{module}.py")
+        earlier = LAYER_ORDER[:index]
+        breaks += [(module, name) for name in relative_imports(path.read_text()) if name not in earlier]
+    assert breaks == []

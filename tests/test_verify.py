@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turkshead import cli, psi, seq, verify
+from turkshead import cli, mincol, psi, seq, thk, verify
 from turkshead.config import BudgetExceededError, RunConfig
 
 #: sha256 of `turkshead verify <suite>` stdout, check ids and details included
@@ -32,7 +32,7 @@ class TestColorUsage:
         # the observed-range note is not a failure, so with 19 primes outside
         # the window, 6 are shown and 13 more are counted
         lo, hi = verify.USAGE_WINDOW
-        outside = [p for p, ratio in psi.usage_ratios(25) if not lo <= ratio <= hi]
+        outside = [p for p, ratio in mincol.usage_ratios(25) if not lo <= ratio <= hi]
         (result,) = verify.suite_color_usage(RunConfig())
         assert len(outside) == 19 and not result.passed
         assert result.detail.count("outside [") == 6
@@ -125,9 +125,9 @@ class TestIsFixedPoint:
 
 class TestEnumeration:
     def test_unknot_case_only_trivial(self):
-        cols = verify.enumerate_colorings(1, 5)
-        assert len(cols) == 5
-        assert all(c.is_trivial for c in cols)
+        inputs = verify.enumerate_colorings(1, 5)
+        assert len(inputs) == 5
+        assert all(len(thk.Coloring.from_input(1, 5, t).palette) == 1 for t in inputs)
 
     def test_count_3_2(self):
         assert len(verify.enumerate_colorings(3, 2)) == 8
@@ -136,13 +136,25 @@ class TestEnumeration:
         assert len(verify.enumerate_colorings(2, 5)) == 25
 
     def test_lexicographic_order(self):
-        cols = verify.enumerate_colorings(3, 3)
-        inputs = [c.input_triple for c in cols]
+        inputs = verify.enumerate_colorings(3, 3)
         assert inputs == sorted(inputs)
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError, match="budget"):
             verify.enumerate_colorings(3, 101, budget=10**6)
+
+
+class TestOracleIndependence:
+    def test_exhaustive_suites_walk_no_coloring_of_thk(self, monkeypatch):
+        # the exhaustive oracle checks the coloring walks, so it runs none
+        def refuse(cls, *args):
+            raise AssertionError("the exhaustive oracle walked a coloring")
+
+        monkeypatch.setattr(thk.Coloring, "from_input", classmethod(refuse))
+        assert len(verify.enumerate_colorings(4, 3)) == mincol.count_colorings(4, 3)
+        for suite in (verify.suite_formula_oracle, verify.suite_nonsplit):
+            results = suite(RunConfig())
+            assert results and all(result.passed for result in results), suite.__name__
 
 
 class TestBinet:
