@@ -157,9 +157,10 @@ def write_json(record, write) -> None:
     """Write the JSON line of a thk.Coloring or a mincol.MincolVerdict.
 
     The bytes are those of print(json.dumps(...)) of the schema in the
-    README.  The trace is written from the stored period: one `%` formats
-    the period, and copies of it go out in blocks of about _BLOCK levels,
-    so memory is O(period + block) however long the braid.
+    README.  The trace is written from the stored columns: one `%` formats
+    the period, its three columns interleaved by slice assignment, and
+    copies of it go out in blocks of about _BLOCK levels, so memory is
+    O(period + block) however long the braid.
     """
     tail = "}\n"
     if isinstance(record, mincol.MincolVerdict):
@@ -180,10 +181,13 @@ def write_json(record, write) -> None:
             write("null" + tail)
             return
         record, tail = record.witness, "}" + tail
-    period, n = record.period, record.n
-    m = len(period)
-    write('{"n": %d, "r": %d, "input": [%d, %d, %d], "trace": [' % (n, record.r, *period[0]))
-    text = "[%d, %d, %d], " * m % tuple([color for level in period for color in level])
+    left, n, first = record.left, record.n, record.input_triple
+    m = len(left)
+    write('{"n": %d, "r": %d, "input": [%d, %d, %d], "trace": [' % (n, record.r, *first))
+    flat = [0] * (3 * m)
+    flat[::3], flat[1::3], flat[2::3] = left, record.middle, record.right
+    flat = tuple(flat)  # the list goes before the text is formatted
+    text = "[%d, %d, %d], " * m % flat
     per_block = min(n // m, max(1, _BLOCK // m))
     blocks, rest = divmod(n // m, per_block)
     block = text * per_block
@@ -191,7 +195,7 @@ def write_json(record, write) -> None:
         write(block)
     # a list of ints prints as its JSON
     palette = _palette_text(record.palette)
-    write(text * rest + '[%d, %d, %d]], "colors_used": %s' % (*period[0], palette) + tail)
+    write(text * rest + '[%d, %d, %d]], "colors_used": %s' % (*first, palette) + tail)
 
 
 def cmd_mincol(args, config: RunConfig) -> int:
@@ -223,16 +227,16 @@ def cmd_construct(args, config: RunConfig) -> int:
     if config.output_format == "json":
         write_json(coloring, write)
         return EXIT_OK
-    period, palette, end = coloring.period, coloring.palette, coloring.n + 1
+    palette, end = coloring.palette, coloring.n + 1
     write(
-        f"p = {args.p}, psi = {coloring.n}: input {period[0]} colors "
+        f"p = {args.p}, psi = {coloring.n}: input {coloring.input_triple} colors "
         f"THK(3, {coloring.n}) with {len(palette)} colors {_palette_text(palette)}\n"
     )
     # levels 0..n, each column of the period repeated, in blocks of _BLOCK
     row = "  level %d: (%d, %d, %d)\n"
     size = min(_BLOCK, end)
     flat, block = [0] * (4 * size), row * size
-    columns = [itertools.cycle([level[j] for level in period]) for j in range(3)]
+    columns = [itertools.cycle(column) for column in (coloring.left, coloring.middle, coloring.right)]
     for start in range(0, end, size):
         stop = min(start + size, end)
         if stop - start < size:  # the last block is short

@@ -87,16 +87,16 @@ def _odd_psi_coloring(p: int, q: int) -> Coloring:
     nonzero, or 2 = 0, so (-1 - f, f - 1) spans the kernel; its coordinates
     differ by -2f, and scaled to differ by 1 it is (s + 1, s).  f != 0, as
     F_{q-1} and F_q = -2f are coprime.  The shift property is asserted on
-    the stored period; _construction checks the palette against q.
+    the stored columns; _construction checks the palette against q.
     """
     f = seq.u_mod(q - 2, p)
     if f == 0:
         raise AssertionError(f"{p} divides F_{q - 1} and F_{q}")
     s = (1 - f) * zmod.mod_inverse(2 * f, p) % p
     col = Coloring.from_input(q, p, (1, s, 0))
-    period, k = col.period, (q - 1) // 2
-    m = len(period)  # m divides q, so levels i < m cover every level i < q
-    if any(period[i][2] != period[(i + k) % m][0] for i in range(m)):
+    left = col.left
+    k = (q - 1) // 2 % len(left)  # the period divides q, so it covers every level i < q
+    if col.right != left[k:] + left[:k]:
         raise AssertionError(f"shift property failed at p = {p}")
     return col
 
@@ -105,13 +105,14 @@ def _even_psi_coloring(p: int, q: int) -> Coloring:
     """construct(p) for a prime p > 5 whose psi q is even: input (0, 1, 0).
 
     The trace folds back on itself, which also fixes a handful of boundary
-    colors that are asserted here, read off the stored period;
+    colors that are asserted here, read off the stored columns;
     _construction checks the palette.
     """
     col = Coloring.from_input(q, p, (0, 1, 0))
-    period, m = col.period, len(col.period)
-    x = {i: period[i % m][0] for i in (1, 2, q // 2, q // 2 + 1)}
-    z = {i: period[i % m][2] for i in (1, 2, q - 1)}
+    left, right = col.left, col.right
+    m = len(left)
+    x = {i: left[i % m] for i in (1, 2, q // 2, q // 2 + 1)}
+    z = {i: right[i % m] for i in (1, 2, q - 1)}
     schema = (
         x[1] == 0
         and x[2] == 1
@@ -248,7 +249,7 @@ def _construction_prime(primes: list[int]) -> tuple[int, int]:
 def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
     """Carry col from THK(3, n0) mod s to THK(3, n) mod r, naming each step.
 
-    Stacking k = n / n0 copies shares col's period and palette, since level
+    Stacking k = n / n0 copies shares col's columns and palette, since level
     n of the stack is level 0 again; lifting multiplies every color by
     r / s, which keeps the block map's relations and the palette's order.
     Both need n0 | n and s | r, and the result is revalidated around its period.
@@ -265,10 +266,10 @@ def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
     if scale == 1:
         moved = col._replace(n=n)
     else:
-        # from a list, not a generator: tuple(generator) leaves a tuple of len(period)
-        # on CPython's per-size free lists, which only a full GC run empties
-        period = tuple([(a * scale, b * scale, c * scale) for a, b, c in col.period])
-        moved = Coloring(n, r, period, tuple([c * scale for c in col.palette]))
+        # tuples from lists, not generators: tuple(generator) leaves a tuple of the
+        # column's length on CPython's per-size free lists, which only a full GC run empties
+        scaled = [tuple([c * scale for c in colors]) for colors in (col.left, col.right, col.palette)]
+        moved = Coloring(n, r, *scaled)
     if not moved.validate():
         raise AssertionError(f"transported coloring failed revalidation at ({n}, {r})")
     return moved, steps

@@ -29,17 +29,21 @@ from .zmod import check_modulus
 Triple = tuple[int, int, int]
 
 
-class Coloring(namedtuple("Coloring", "n r period palette")):
+class Coloring(namedtuple("Coloring", "n r left right palette")):
     """A closed coloring of the standard diagram of THK(3, n) mod r.
 
-    `period` holds the strand-color levels 0..m-1 for some m dividing n;
-    level i is period[i % m], so level n equals level 0 (the braid closure
-    condition).  Juxtaposing copies of THK(3, m) thus needs no new levels.
-    `palette` holds the arc colors, the x and z values over the period, in
+    `left` and `right` hold the x and z colors of levels 0..m-1 for some m
+    dividing n, so level i is (left[i % m], left[(i - 1) % m], right[i % m]):
+    the middle color of a level is the left color of the level before, and
+    at level 0 it is left[m - 1].  Level n equals level 0 (the braid closure
+    condition), so juxtaposing copies of THK(3, m) needs no new levels.
+    `palette` holds the arc colors, the values of both columns, in
     ascending order.  `from_input` stores the least period and sorts its
     palette once, and `mincol._transport` keeps both (multiplying by r/s is
-    injective from Z_s into Z_r and keeps the order), so two colorings of
-    one diagram compare and hash equal exactly when their levels agree.
+    injective from Z_s into Z_r and keeps the order).  The columns of the
+    least period fix every level, and the levels fix the columns and the
+    palette, so two colorings of one diagram compare and hash equal exactly
+    when their levels agree.
     """
 
     __slots__ = ()
@@ -51,42 +55,55 @@ class Coloring(namedtuple("Coloring", "n r period palette")):
         The block map has determinant 1, so it is invertible mod r and every
         orbit is purely periodic: t closes after n blocks exactly when its
         least period m divides n.  So at most n steps are taken, only the
-        m levels of one period are kept, and the palette is sorted from them.
+        two columns of one period are kept, and the palette is sorted from
+        them.  A return compares all three colors with t, the middle one
+        included.
         """
         if n < 1:
             raise ValueError("diagram needs at least one block")
         check_modulus(r)
-        start = (t[0] % r, t[1] % r, t[2] % r)
-        levels = [start]
-        a, b, c = start
+        a, b, c = x, y, z = t[0] % r, t[1] % r, t[2] % r
+        left, right = [x], [z]
         for _ in range(n):
-            a, b, c = (2 * a - c) % r, a, (2 * c - b) % r
-            if (a, b, c) == start:
+            x, y, z = (2 * x - z) % r, x, (2 * z - y) % r
+            if x == a and z == c and y == b:
                 break
-            levels.append((a, b, c))
-        if len(levels) > n or n % len(levels):
+            left.append(x)
+            right.append(z)
+        m = len(left)
+        if m > n or n % m:
             raise ValueError(
                 f"input {t} does not close after {n} blocks mod {r}"
             )
-        levels = tuple(levels)
-        return cls(n, r, levels, tuple(sorted({t[0] for t in levels} | {t[2] for t in levels})))
+        left, right = tuple(left), tuple(right)
+        return cls(n, r, left, right, tuple(sorted({*left, *right})))
+
+    @property
+    def middle(self) -> tuple[int, ...]:
+        """The y colors of levels 0..m-1, each the left color of the level before."""
+        left = self.left
+        return left[-1:] + left[:-1]
 
     @property
     def input_triple(self) -> Triple:
-        return self.period[0]
+        return self.left[0], self.left[-1], self.right[0]
 
     def validate(self) -> bool:
-        """Check that the period length m divides n, then every block step
-        around the period, from level m - 1 back to level 0 included."""
-        m = len(self.period)
-        if not 0 < m <= self.n or self.n % m:
+        """Check that both columns have one length m dividing n, then every
+        block step around the period, from level m - 1 back to level 0
+        included: x' = 2x - z and z' = 2z - w mod r, where w is the left
+        color of the level before (x, z)."""
+        left, right = self.left, self.right
+        m = len(left)
+        if not 0 < m <= self.n or self.n % m or len(right) != m:
             return False
         r = check_modulus(self.r)
-        previous = self.period[-1:] + self.period[:-1]
-        return all(
-            level == ((2 * a - c) % r, a % r, (2 * c - b) % r)
-            for (a, b, c), level in zip(previous, self.period)
-        )
+        w, x, z = left[m - 2], left[-1], right[-1]
+        for x1, z1 in zip(left, right):
+            if x1 != (2 * x - z) % r or z1 != (2 * z - w) % r:
+                return False
+            w, x, z = x, x1, z1
+        return True
 
 
 def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
@@ -140,8 +157,10 @@ def min_colors_standard(
     orbits of the block map, and each orbit is walked once, from its first
     unseen representative.  The lex-least input among the translates of a
     level is (0, (y - x) mod r, (z - x) mod r); the witness is the least of
-    these over the levels of the optimal orbits.  BudgetExceededError when
-    the r * gu * g5 colorings exceed `budget`.
+    these over the levels of the optimal orbits.  A pair (u, v) of residues
+    is kept as the int u * r + v, which orders as the pair does, so the
+    marks and keys are read off the columns with no tuple per level.
+    BudgetExceededError when the r * gu * g5 colorings exceed `budget`.
     """
     if n < 1:
         raise ValueError("diagram needs at least one block")
@@ -152,17 +171,18 @@ def min_colors_standard(
         raise BudgetExceededError(
             f"{total} colorings exceed the enumeration limit {budget}"
         )
-    best: tuple[int, Triple] | None = None
-    seen: set[tuple[int, int]] = set()
+    best: tuple[int, int] | None = None
+    seen: set[int] = set()
     for a, b, _ in _translation_representatives(n, r, gu, g5):
-        if a == b == 0 or (a, b) in seen:
+        if a == b == 0 or a * r + b in seen:
             continue
         col = Coloring.from_input(n, r, (a, b, 0))
-        seen.update(((x - z) % r, (y - z) % r) for x, y, z in col.period)
+        left, middle, right = col.left, col.middle, col.right
+        seen.update([(x - z) % r * r + (y - z) % r for x, y, z in zip(left, middle, right)])
         k = len(col.palette)
         if best is not None and k > best[0]:
             continue
-        key = (k, min((0, (y - x) % r, (z - x) % r) for x, y, z in col.period))
+        key = (k, min([(y - x) % r * r + (z - x) % r for x, y, z in zip(left, middle, right)]))
         if best is None or key < best:
             best = key
-    return None if best is None else Coloring.from_input(n, r, best[1])
+    return None if best is None else Coloring.from_input(n, r, (0, *divmod(best[1], r)))

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,19 @@ class TestOddConstruction:
         col = mincol.construct(200351)
         assert col.n == 100175
         assert time.perf_counter() - start < 2
+
+    def test_large_psi_builds_in_bounded_memory(self):
+        # two columns of ints per level, not a tuple of three: 13.6 MiB,
+        # where a tuple per level took 33.0 MiB
+        mincol.construct(13)  # the lazy imports of the first call are not counted
+        tracemalloc.start()
+        try:
+            col = mincol.construct(200351)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, peak
+        assert col.n == 100175
 
     def test_guards(self):
         for p in (1, 4, 9):  # not prime
@@ -424,7 +438,9 @@ class TestTransport:
         assert steps == ["stack(k=2)"]
         assert stacked.n == 10 and stacked.validate()
         assert len(stacked.palette) == 5
-        assert stacked.period == tuple(verify.propagate((1, 7, 0), 11, 4))
+        levels = verify.propagate((1, 7, 0), 11, 4)
+        assert stacked.left == tuple(x for x, _, _ in levels)
+        assert stacked.right == tuple(z for _, _, z in levels)
 
     def test_equality_follows_the_levels(self):
         # from_input keeps the least period and stacking or lifting keeps it,
@@ -443,9 +459,10 @@ class TestTransport:
         )
         stacked, steps = mincol._transport(col, 15, 11)
         assert steps == ["stack(k=3)"] and stacked.n == 15
-        assert stacked.period is col.period and stacked.palette is col.palette
+        assert stacked.left is col.left and stacked.right is col.right
+        assert stacked.palette is col.palette
         assert checked == [stacked]
-        corrupt = col._replace(period=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 3)))
+        corrupt = col._replace(right=(0, 4, 7, 1, 3))
         with pytest.raises(AssertionError, match="failed revalidation"):
             mincol._transport(corrupt, 15, 11)
 
@@ -475,4 +492,19 @@ def test_verdict_grid_digest():
             digest.update("".join(out).encode())
     assert digest.hexdigest() == (
         "be78e24967e1756cb7b58475433c7a8d3b4cf9b6afebc60a2e333090f968ba15"
+    )
+
+
+def test_construct_output_digest(capsys):
+    # Byte-identity guard on both writers of a coloring: `-f json construct p`
+    # and plain `construct p` for every prime 7 <= p < 1000, in that order.
+    digest = hashlib.sha256()
+    for p in zmod.primes_up_to(999):
+        if p < 7:
+            continue
+        for argv in (["-f", "json", "construct", str(p)], ["construct", str(p)]):
+            assert cli.main(argv) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "67a6b58de2d2d87277f09f3a0e2c166bca9c88f95e44fb8c635f3aef3eebab9c"
     )

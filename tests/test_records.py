@@ -6,8 +6,7 @@ from turkshead import mincol, psi, thk, verify
 from turkshead.config import RunConfig
 
 _WITNESS_5_11 = (
-    "Coloring(n=5, r=11, period=((1, 7, 0), (2, 1, 4), (0, 2, 7), (4, 0, 1), (7, 4, 2)), "
-    "palette=(0, 1, 2, 4, 7))"
+    "Coloring(n=5, r=11, left=(1, 2, 0, 4, 7), right=(0, 4, 7, 1, 2), palette=(0, 1, 2, 4, 7))"
 )
 
 RECORDS = [

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from turkshead import cli, thk, verify
+from turkshead import cli, mincol, thk, verify
 from turkshead.config import BudgetExceededError
 
 # the 7-coloring of THK(3, 8) induced by (0, 1, 0)
@@ -10,6 +10,12 @@ SEVEN_COLORING_TRACE = [
     (0, 1, 0), (0, 0, 6), (1, 0, 5), (4, 1, 3), (5, 4, 5),
     (5, 5, 6), (4, 5, 0), (1, 4, 2), (0, 1, 0),
 ]
+
+
+def period_levels(col):
+    """The levels 0..m-1 of col's period, each middle color read off the left column a level back."""
+    left, right = col.left, col.right
+    return tuple((left[i], left[i - 1], right[i]) for i in range(len(left)))
 
 
 class TestEnumeration:
@@ -40,8 +46,8 @@ class TestColoring:
     def test_from_input_keeps_the_least_period(self):
         # (0, 1, 0) mod 13 first returns after 14 blocks
         col = thk.Coloring.from_input(42, 13, (0, 1, 0))
-        assert len(col.period) == 14
-        assert col.period == tuple(verify.propagate((0, 1, 0), 13, 13))
+        assert len(col.left) == len(col.right) == 14
+        assert period_levels(col) == tuple(verify.propagate((0, 1, 0), 13, 13))
         for n in (7, 21):
             with pytest.raises(ValueError, match="does not close"):
                 thk.Coloring.from_input(n, 13, (0, 1, 0))
@@ -60,15 +66,18 @@ class TestColoring:
                 for t in verify.enumerate_colorings(n, r):
                     col = thk.Coloring.from_input(n, r, t)
                     assert col.palette == tuple(verify.arc_colors(t, r, n)), (n, r, t)
+                    a, b, c = t
+                    unreduced = thk.Coloring.from_input(n, r, (a + r, b - r, c + 2 * r))
+                    assert unreduced == col and unreduced.input_triple == t, (n, r, t)
 
     def test_seven_coloring_palette(self):
         col = thk.Coloring.from_input(8, 7, (0, 1, 0))
         assert len(col.palette) == 7
-        assert col.period == tuple(SEVEN_COLORING_TRACE[:-1])
+        assert period_levels(col) == tuple(SEVEN_COLORING_TRACE[:-1])
 
     def test_sequences_and_shift_structure(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
-        xs, ys, zs = ([level[j] for level in col.period] for j in range(3))
+        xs, ys, zs = ([level[j] for level in period_levels(col)] for j in range(3))
         assert xs == [1, 2, 0, 4, 7]
         assert ys == [7, 1, 2, 0, 4]
         assert zs == [0, 4, 7, 1, 2]
@@ -97,31 +106,67 @@ class TestColoring:
     def test_validate_rejects_corrupt_trace(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         assert col.validate()
-        period = list(col.period)
-        period[2] = (9, 9, 9)
-        assert not col._replace(period=tuple(period)).validate()
+        left = list(col.left)
+        left[2] = 9
+        assert not col._replace(left=tuple(left)).validate()
         # every step holds but the last, back to level 0
-        assert not thk.Coloring(2, 5, tuple(verify.propagate((0, 1, 0), 5, 1)), (0, 4)).validate()
+        (x0, _, z0), (x1, _, z1) = verify.propagate((0, 6, 1), 7, 1)
+        assert not thk.Coloring(2, 7, (x0, x1), (z0, z1), (0, 1, 3, 6)).validate()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mincol.construct(13),
+            lambda: mincol.mincol_exact(5, 143).witness,  # the 11-rule witness lifted
+            lambda: mincol.mincol_exact(24, 7).witness,  # the 7-rule witness stacked
+        ],
+        ids=["construct-13", "lifted-5-143", "stacked-24-7"],
+    )
+    def test_validate_rejects_every_single_change(self, make):
+        col = make()
+        assert col.validate()
+        r = col.r
+        for field in ("left", "right"):
+            column = getattr(col, field)
+            for i, color in enumerate(column):
+                # every other residue, and the same residue unreduced
+                for other in [*range(color), *range(color + 1, r), color + r]:
+                    changed = column[:i] + (other,) + column[i + 1:]
+                    assert not col._replace(**{field: changed}).validate(), (field, i, other)
+            assert not col._replace(**{field: column[:-1]}).validate()
+
+    def test_from_input_refuses_a_changed_middle_color(self):
+        # every input that differs from a closing one only in its middle color
+        closing = verify.enumerate_colorings(2, 5)
+        changed = {(a, y, c) for a, _, c in closing for y in range(5)} - set(closing)
+        assert changed
+        for t in sorted(changed):
+            with pytest.raises(ValueError, match="does not close"):
+                thk.Coloring.from_input(2, 5, t)
 
     def test_validate_rejects_period_not_dividing_n(self):
         col = thk.Coloring.from_input(5, 11, (1, 7, 0))
         assert col._replace(n=10).validate()
         assert not col._replace(n=7).validate()
         assert not col._replace(n=0).validate()
-        assert not col._replace(period=()).validate()
+        assert not col._replace(left=(), right=()).validate()
 
     def test_trace_follows_the_period_rule(self):
-        # level i is period[i % m], for the n levels of from_input and for a
-        # period repeated over twice as many blocks
+        # level i is (left[i % m], left[(i - 1) % m], right[i % m]), for the
+        # n levels of from_input and for a period repeated over twice as many
+        # blocks; the input is level 0
         for n in range(1, 31):
             for r in range(2, 21):
                 for t in verify.enumerate_colorings(n, r):
                     col = thk.Coloring.from_input(n, r, t)
-                    m = len(col.period)
+                    left, right = col.left, col.right
+                    m = len(left)
+                    assert len(right) == m and col.input_triple == t
+                    assert col.middle == tuple(y for _, y, _ in verify.propagate(t, r, m - 1))
                     doubled = col._replace(n=2 * n)
                     assert doubled.validate()
                     for i, level in enumerate(verify.propagate(t, r, 2 * n)):
-                        assert col.period[i % m] == level, (n, r, t, i)
+                        assert (left[i % m], left[(i - 1) % m], right[i % m]) == level, (n, r, t, i)
 
 
 class TestMinColorsStandard:
@@ -170,8 +215,8 @@ class TestMinColorsStandard:
         expected = self.oracle_minimum(n, r)
         witness = thk.min_colors_standard(n, r)
         assert (len(witness.palette), witness.input_triple) == expected
-        assert len(witness.period) == period
-        assert witness.period == tuple(verify.propagate(expected[1], r, period - 1))
+        assert len(witness.left) == period
+        assert period_levels(witness) == tuple(verify.propagate(expected[1], r, period - 1))
 
     def test_propagates_one_input_per_translation_class(self, monkeypatch):
         calls = []

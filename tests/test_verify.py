@@ -156,6 +156,16 @@ class TestOracleIndependence:
             results = suite(RunConfig())
             assert results and all(result.passed for result in results), suite.__name__
 
+    def test_mincol_floor_is_not_the_search_under_test(self, monkeypatch):
+        # the (8, 7) standard-diagram floor comes from the exhaustive oracle,
+        # not from the standard-diagram search it would confirm
+        def refuse(*args):
+            raise AssertionError("the mincol-exact suite ran the standard-diagram search")
+
+        monkeypatch.setattr(thk, "min_colors_standard", refuse)
+        (result,) = verify.suite_mincol_exact(RunConfig())
+        assert result.passed, result.detail
+
 
 class TestBinet:
     @pytest.mark.parametrize("n, expected, tol", [(0, 1.0, 1e-9), (2, 4.0, 1e-9), (9, 55.0, 1e-7)])
