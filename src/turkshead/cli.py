@@ -157,10 +157,11 @@ def write_json(record, write) -> None:
     """Write the JSON line of a thk.Coloring or a mincol.MincolVerdict.
 
     The bytes are those of print(json.dumps(...)) of the schema in the
-    README.  The trace is written from the stored columns: one `%` formats
-    the period, its three columns interleaved by slice assignment, and
-    copies of it go out in blocks of about _BLOCK levels, so memory is
-    O(period + block) however long the braid.
+    README.  The trace is written from the stored columns, interleaved by
+    slice assignment.  A period of at most _BLOCK levels is formatted by one
+    `%` and its copies go out in blocks of about _BLOCK levels; a longer one
+    goes out _BLOCK levels per `%`, its middle column sliced off `left`.  So
+    memory is O(block) beyond the stored columns, however long the braid.
     """
     tail = "}\n"
     if isinstance(record, mincol.MincolVerdict):
@@ -184,15 +185,28 @@ def write_json(record, write) -> None:
     left, n, first = record.left, record.n, record.input_triple
     m = len(left)
     write('{"n": %d, "r": %d, "input": [%d, %d, %d], "trace": [' % (n, record.r, *first))
-    flat = [0] * (3 * m)
-    flat[::3], flat[1::3], flat[2::3] = left, record.middle, record.right
-    flat = tuple(flat)  # the list goes before the text is formatted
-    text = "[%d, %d, %d], " * m % flat
-    per_block = min(n // m, max(1, _BLOCK // m))
-    blocks, rest = divmod(n // m, per_block)
-    block = text * per_block
-    for _ in range(blocks):
-        write(block)
+    level = "[%d, %d, %d], "
+    if m > _BLOCK:
+        right, full = record.right, level * _BLOCK
+        for _ in range(n // m):
+            for start in range(0, m, _BLOCK):
+                stop = min(start + _BLOCK, m)
+                size = stop - start
+                flat = [0] * (3 * size)
+                flat[::3], flat[2::3] = left[start:stop], right[start:stop]
+                flat[1::3] = left[start - 1:stop - 1] if start else left[-1:] + left[:stop - 1]
+                write((full if size == _BLOCK else level * size) % tuple(flat))
+        text, rest = "", 0
+    else:
+        flat = [0] * (3 * m)
+        flat[::3], flat[1::3], flat[2::3] = left, record.middle, record.right
+        flat = tuple(flat)  # the list goes before the text is formatted
+        text = level * m % flat
+        per_block = min(n // m, max(1, _BLOCK // m))
+        blocks, rest = divmod(n // m, per_block)
+        block = text * per_block
+        for _ in range(blocks):
+            write(block)
     # a list of ints prints as its JSON
     palette = _palette_text(record.palette)
     write(text * rest + '[%d, %d, %d]], "colors_used": %s' % (*first, palette) + tail)

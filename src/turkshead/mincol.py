@@ -12,11 +12,26 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import seq, thk, zmod
+from . import seq, zmod
 from .psi import first_usage_primes, psi_of_prime
 from .config import DEFAULT_BRUTE_FORCE_BUDGET
 from .thk import Coloring, min_colors_standard
 from .zmod import check_modulus
+
+
+def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
+    """Solution-class sizes (gu, g5) of the reduced closure system mod r.
+
+    After factoring u_{n-1} out of the closure equations, the system row
+    reduces to  a - c = 0, b - c = 0  (odd n) and  a + 2b - 3c = 0,
+    5(c - b) = 0  (even n), each scaled by u_{n-1}; the class counts are the
+    gcds of the scaled coefficients with r.
+    """
+    um = seq.u_mod(n - 1, r)
+    gu = math.gcd(um, r)
+    if n % 2 == 1:
+        return gu, gu
+    return gu, math.gcd(5 * um % r, r)
 
 
 def count_colorings(n: int, r: int) -> int:
@@ -28,7 +43,7 @@ def count_colorings(n: int, r: int) -> int:
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    gu, g5 = thk._reduced_system_params(n, r)
+    gu, g5 = _reduced_system_params(n, r)
     return r * gu * g5
 
 
@@ -58,7 +73,7 @@ def determinant_digits(n: int) -> int:
 
 def _common_primes(gu: int, g5: int) -> list[int]:
     """Primes dividing both r and det THK(3, n), ascending, from
-    (gu, g5) = thk._reduced_system_params(n, r).
+    (gu, g5) = _reduced_system_params(n, r).
 
     The determinant is u_{n-1}^2, times 5 for even n, so these are the
     primes of gu = gcd(u_{n-1} mod r, r), with 5 added when n is even and
@@ -237,13 +252,13 @@ _EXACT_RULES: dict[int, tuple[int, int, tuple[int, int, int]]] = {
 }
 
 
-def _construction_prime(primes: list[int]) -> tuple[int, int]:
-    """(p, psi(p)) for the prime p of least psi among `primes`, all above 5,
-    ties to the smaller one.
+def _construction_prime(psis: list[tuple[int, int]]) -> tuple[int, int]:
+    """The pair (p, psi(p)) of least psi among `psis`, each prime above 5,
+    ties to the smaller prime.
 
     Its construction is the shortest braid to stack.
     """
-    return min(((p, psi_of_prime(p)) for p in primes), key=lambda pq: (pq[1], pq[0]))
+    return min(psis, key=lambda pq: (pq[1], pq[0]))
 
 
 def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
@@ -278,11 +293,27 @@ def _transport(col: Coloring, n: int, r: int) -> tuple[Coloring, list[str]]:
 def mincol_exact(
     n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
 ) -> MincolVerdict:
-    """Exact minimum-color verdict where the rules allow, else honest bounds."""
+    """Exact minimum-color verdict where the rules allow, else honest bounds.
+
+    Past the rules, the construction at the common prime of least psi is
+    carried to (n, r).  Where the gate on r**3 and on the r * gu * g5 * n
+    block steps admits it, the search runs at each common prime p on
+    THK(3, psi(p)) mod p, and the least carried witness by (palette size,
+    input) is the standard diagram's lex-least minimum mod r:
+    - Its size, at any budget: a nontrivial coloring mod r with k colors,
+      less a color and divided by the gcd g of its differences, reduces mod
+      a prime q of r/g to a nontrivial q-coloring with at most k colors, so
+      q is a common prime.  Lifting and stacking go back, keeping the
+      palette: mod p every input closes on THK(3, psi(p)).
+    - Its input: the default gate admits only r <= 100, so a least common
+      prime of 13 or more is the only one, and r = s p with p not dividing
+      s.  Mod s every coloring is constant, so one mod r with first color 0
+      is s times one mod p, and multiplying by s keeps the lex order.
+    """
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    gu, g5 = thk._reduced_system_params(n, r)
+    gu, g5 = _reduced_system_params(n, r)
     primes = _common_primes(gu, g5)
     if not primes:
         return MincolVerdict(
@@ -303,7 +334,8 @@ def mincol_exact(
 
     # every prime up to 11 has a rule, so lcp >= 13 and all primes are above 5
     provenance.append("lower-bound-5")
-    p_star, q = _construction_prime(primes)
+    psis = [(p, psi_of_prime(p)) for p in primes]
+    p_star, q = _construction_prime(psis)
     col = _construction(p_star, q)
     if n % q != 0:
         raise AssertionError(f"psi({p_star}) = {q} must divide n = {n}")
@@ -313,9 +345,8 @@ def mincol_exact(
     colors = len(witness.palette)
     provenance.append(f"upper-route-{label}({colors})")
     if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
-        found = min_colors_standard(n, r, budget)
-        if found is None:
-            raise AssertionError(f"nontrivial colorings vanished at ({n}, {r})")
+        carried = [_transport(min_colors_standard(q, p), n, r)[0] for p, q in psis]
+        found = min(carried, key=lambda w: (len(w.palette), w.input_triple))
         size = len(found.palette)
         provenance.append(f"upper-route-standard-diagram-search({size})")
         if size < colors:

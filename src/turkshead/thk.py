@@ -18,12 +18,8 @@ turkshead.verify.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from collections.abc import Iterator
 
-from . import seq
-from .config import DEFAULT_BRUTE_FORCE_BUDGET, BudgetExceededError
 from .zmod import check_modulus
 
 Triple = tuple[int, int, int]
@@ -106,77 +102,35 @@ class Coloring(namedtuple("Coloring", "n r left right palette")):
         return True
 
 
-def _reduced_system_params(n: int, r: int) -> tuple[int, int]:
-    """Solution-class sizes (gu, g5) of the reduced closure system mod r.
-
-    After factoring u_{n-1} out of the closure equations, the system row
-    reduces to  a - c = 0, b - c = 0  (odd n) and  a + 2b - 3c = 0,
-    5(c - b) = 0  (even n), each scaled by u_{n-1}; the class counts are the
-    gcds of the scaled coefficients with r.
-    """
-    um = seq.u_mod(n - 1, r)
-    gu = math.gcd(um, r)
-    if n % 2 == 1:
-        return gu, gu
-    return gu, math.gcd(5 * um % r, r)
-
-
-def _translation_representatives(n: int, r: int, gu: int, g5: int) -> Iterator[Triple]:
-    """The gu * g5 coloring inputs (a, b, 0) of the reduced closure system,
-    given its class sizes (gu, g5) = _reduced_system_params(n, r).
-
-    The block map fixes every constant state and is linear, so the inputs
-    are closed under (a, b, c) -> (a + t, b + t, c + t); each input is the
-    translate by c of exactly one of these.  With c = 0 the reduced system
-    leaves a in (r/gu)Z and b in (r/gu)Z (odd n), or b in (r/g5)Z and
-    a + 2b in (r/gu)Z (even n).
-    """
-    step_u, step_5 = r // gu, r // g5
-    for j in range(g5):
-        b = j * step_5
-        base = 0 if n % 2 == 1 else -2 * b
-        for i in range(gu):
-            yield ((base + i * step_u) % r, b, 0)
-
-
-def min_colors_standard(
-    n: int, r: int, budget: int = DEFAULT_BRUTE_FORCE_BUDGET
-) -> Coloring | None:
-    """Minimum palette over nontrivial colorings of the standard diagram.
+def min_colors_standard(n: int, r: int) -> Coloring:
+    """Minimum palette over nontrivial colorings of the standard diagram,
+    mod an r at which every input closes after n blocks, such as a prime p
+    at n = psi(p), whose witness mincol carries to (n, r).  Any other
+    modulus raises ValueError at a class that does not close.
 
     Returns the lexicographically least witness, whose palette has the
-    minimum size, or None when only trivial colorings exist.  This is an
-    upper bound for the diagram-free minimum, which ranges over all
-    diagrams of the knot.
+    minimum size.  This is an upper bound for the diagram-free minimum,
+    which ranges over all diagrams of the knot.
 
     Translating every color by t maps colorings to colorings and keeps the
-    palette size, so only the gu * g5 representatives (a, b, 0) matter, not
-    all r * gu * g5 inputs.  Every level (x, y, z) of a coloring is itself an
-    input with the same arc-color set, and its translate to third color 0 is
-    the representative (x - z, y - z, 0).  So the representatives fall into
+    palette size, so only the classes (a, b, 0) matter, each marked by the
+    int a * r + b, which orders as the pair does (mark 0 is trivial).
+    Every level (x, y, z) of a coloring is itself an input with the same
+    arc-color set, in the class (x - z, y - z, 0).  So the classes fall into
     orbits of the block map, and each orbit is walked once, from its first
-    unseen representative.  The lex-least input among the translates of a
-    level is (0, (y - x) mod r, (z - x) mod r); the witness is the least of
-    these over the levels of the optimal orbits.  A pair (u, v) of residues
-    is kept as the int u * r + v, which orders as the pair does, so the
-    marks and keys are read off the columns with no tuple per level.
-    BudgetExceededError when the r * gu * g5 colorings exceed `budget`.
+    unseen mark.  The lex-least input among the translates of a level is
+    (0, (y - x) mod r, (z - x) mod r); the witness is the least of these
+    over the levels of the optimal orbits, read off the columns as marks.
     """
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    gu, g5 = _reduced_system_params(n, r)
-    total = r * gu * g5
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} colorings exceed the enumeration limit {budget}"
-        )
     best: tuple[int, int] | None = None
     seen: set[int] = set()
-    for a, b, _ in _translation_representatives(n, r, gu, g5):
-        if a == b == 0 or a * r + b in seen:
+    for mark in range(1, r * r):
+        if mark in seen:
             continue
-        col = Coloring.from_input(n, r, (a, b, 0))
+        col = Coloring.from_input(n, r, (*divmod(mark, r), 0))
         left, middle, right = col.left, col.middle, col.right
         seen.update([(x - z) % r * r + (y - z) % r for x, y, z in zip(left, middle, right)])
         k = len(col.palette)
@@ -185,4 +139,4 @@ def min_colors_standard(
         key = (k, min([(y - x) % r * r + (z - x) % r for x, y, z in zip(left, middle, right)]))
         if best is None or key < best:
             best = key
-    return None if best is None else Coloring.from_input(n, r, (0, *divmod(best[1], r)))
+    return Coloring.from_input(n, r, (0, *divmod(best[1], r)))

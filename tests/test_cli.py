@@ -330,6 +330,7 @@ class TestColoringOutput:
             ("construct", (7,)),  # even psi
             ("construct", (13,)),
             ("construct", (200351,)),  # one period longer than a block
+            ("mincol", (2 * 100175, 200351)),  # that period stacked twice
         ],
     )
     def test_json_same_bytes_as_the_old_way(self, capsys, command, args):
@@ -364,6 +365,28 @@ class TestColoringOutput:
             tracemalloc.stop()
         assert written == 11_625_318
         assert peak < written // 20
+
+    def test_long_period_in_bounded_memory(self):
+        # about 3.2 MB of JSON from one period of 100175 levels, formatted a
+        # block of levels at a time: 2.4 MiB, where one `%` for the whole
+        # period took 7.1 MiB
+        col = mincol.construct(200351)
+        written = 0
+
+        def sink(text):
+            nonlocal written
+            written += len(text)
+
+        cli.write_json(mincol.construct(13), sink)  # the lazy imports of the first call are not counted
+        written = 0
+        tracemalloc.start()
+        try:
+            cli.write_json(col, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 3_000_000
+        assert peak < 3 * 2**20, peak
 
 
 class TestPublicNames:

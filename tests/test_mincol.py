@@ -46,7 +46,7 @@ class TestDeterminant:
 
 
 def common_primes(n, r):
-    return mincol._common_primes(*thk._reduced_system_params(n, r))
+    return mincol._common_primes(*mincol._reduced_system_params(n, r))
 
 
 class TestHasNontrivial:

@@ -292,7 +292,7 @@ class TestPrimeBranch:
 
 
 def common_primes(n, r):
-    return mincol._common_primes(*thk._reduced_system_params(n, r))
+    return mincol._common_primes(*mincol._reduced_system_params(n, r))
 
 
 class TestMinCommonPrime:
@@ -301,8 +301,9 @@ class TestMinCommonPrime:
     # prime is above 11, since each smaller one has an exact rule
     @staticmethod
     def select(n, r):
-        p, q = mincol._construction_prime(common_primes(n, r))
-        assert q == psi.psi_of_prime(p)
+        psis = [(p, psi.psi_of_prime(p)) for p in common_primes(n, r)]
+        p, q = mincol._construction_prime(psis)
+        assert (p, q) in psis
         return p
 
     @staticmethod

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from turkshead import cli, mincol, thk, verify
-from turkshead.config import BudgetExceededError
+from turkshead import cli, mincol, psi, thk, verify
 
 # the 7-coloring of THK(3, 8) induced by (0, 1, 0)
 SEVEN_COLORING_TRACE = [
@@ -18,11 +17,32 @@ def period_levels(col):
     return tuple((left[i], left[i - 1], right[i]) for i in range(len(left)))
 
 
+def reduced_classes(n, r):
+    """The gu * g5 coloring inputs (a, b, 0) of the reduced closure system
+    mod r, with (gu, g5) = mincol._reduced_system_params(n, r).
+
+    The block map fixes every constant state and is linear, so the inputs
+    are closed under (a, b, c) -> (a + t, b + t, c + t); each input is the
+    translate by c of exactly one of these.  With c = 0 the reduced system
+    leaves a in (r/gu)Z and b in (r/gu)Z (odd n), or b in (r/g5)Z and
+    a + 2b in (r/gu)Z (even n).
+    """
+    gu, g5 = mincol._reduced_system_params(n, r)
+    step_u, step_5 = r // gu, r // g5
+    for j in range(g5):
+        b = j * step_5
+        base = 0 if n % 2 == 1 else -2 * b
+        for i in range(gu):
+            yield ((base + i * step_u) % r, b, 0)
+
+
 class TestEnumeration:
+    # the classes that composite_search walks are the colorings up to
+    # translation, and mincol's class sizes count them
     @staticmethod
     def translates_of_representatives(n, r):
-        gu, g5 = thk._reduced_system_params(n, r)
-        reps = list(thk._translation_representatives(n, r, gu, g5))
+        gu, g5 = mincol._reduced_system_params(n, r)
+        reps = list(reduced_classes(n, r))
         assert len(reps) == gu * g5 and all(t[2] == 0 for t in reps)
         return sorted(((a + t) % r, (b + t) % r, t) for a, b, _ in reps for t in range(r))
 
@@ -175,16 +195,16 @@ class TestMinColorsStandard:
         [(3, 2, 2, (0, 0, 1)), (2, 5, 4, (0, 1, 4)), (4, 3, 3, (0, 0, 1)), (8, 7, 7, (0, 0, 1))],
     )
     def test_minima_and_lex_least_witness(self, n, r, expected, witness):
-        coloring = thk.min_colors_standard(n, r)
-        assert coloring is not None
+        if mincol.count_colorings(n, r) == r**3:
+            coloring = thk.min_colors_standard(n, r)
+        else:
+            # psi(5) = 10, so only 25 of the 125 inputs close at (2, 5) and
+            # the search does not run there; the 5-rule's frozen input is
+            # the oracle's least minimal one
+            assert self.oracle_minimum(n, r) == (expected, witness)
+            assert mincol._EXACT_RULES[r] == (n, expected, witness)
+            coloring = thk.Coloring.from_input(n, r, witness)
         assert len(coloring.palette) == expected and coloring.input_triple == witness
-
-    def test_only_trivial_returns_none(self):
-        assert thk.min_colors_standard(5, 7) is None
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            thk.min_colors_standard(5, 11, budget=100)
 
     @staticmethod
     def oracle_minimum(n, r):
@@ -200,14 +220,27 @@ class TestMinColorsStandard:
         return expected
 
     def test_agrees_with_the_oracle_for_small_n_and_r(self):
+        searched = 0
         for n in range(1, 31):
             for r in range(2, 21):
                 expected = self.oracle_minimum(n, r)
-                found = thk.min_colors_standard(n, r)
-                got = found and (len(found.palette), found.input_triple)
-                assert got == expected, (n, r)
-                if found is not None:
+                if mincol.count_colorings(n, r) < r**3:
+                    # some input does not close, so the search refuses the modulus
+                    with pytest.raises(ValueError, match="does not close"):
+                        thk.min_colors_standard(n, r)
+                else:
+                    found = thk.min_colors_standard(n, r)
+                    assert (len(found.palette), found.input_triple) == expected, (n, r)
                     assert found == thk.Coloring.from_input(n, r, expected[1])
+                # where mincol's gate runs the search, the verdict reports its minimum
+                verdict = mincol.mincol_exact(n, r)
+                if f"upper-route-standard-diagram-search({expected and expected[0]})" in verdict.provenance:
+                    searched += 1
+                    if verdict.provenance[-1] == "upper-from-standard-diagram-search":
+                        assert verdict.witness == thk.Coloring.from_input(n, r, expected[1])
+                else:
+                    assert not any("standard-diagram-search" in step for step in verdict.provenance)
+        assert searched == 6
 
     @pytest.mark.parametrize("n, r, period", [(42, 13, 14), (54, 17, 18), (48, 23, 24)])
     def test_agrees_with_the_oracle_beyond_one_period(self, n, r, period):
@@ -230,10 +263,9 @@ class TestMinColorsStandard:
             calls.clear()
             assert len(thk.min_colors_standard(n, r).palette) == palette
             # the levels of one orbit, translated to third color 0, are the
-            # nontrivial representatives of one class each
-            gu, g5 = thk._reduced_system_params(n, r)
-            reps = {(a, b) for a, b, _ in thk._translation_representatives(n, r, gu, g5)}
-            reps.discard((0, 0))
+            # nontrivial classes (a, b, 0), one each; every input closes here
+            assert mincol.count_colorings(n, r) == r**3
+            reps = {(a, b) for a in range(r) for b in range(r)} - {(0, 0)}
             orbits = {
                 frozenset(((x - z) % r, (y - z) % r) for x, y, z in verify.propagate((a, b, 0), r, n))
                 for a, b in reps
@@ -250,3 +282,78 @@ class TestMinColorsStandard:
             ]
             brute = min(len(palette) for palette in palettes if len(palette) > 1)
             assert best == brute
+
+
+def composite_search(n, r):
+    """The standard-diagram search run at the modulus r itself, as it was
+    before the search moved to the primes: each block-map orbit of the
+    reduced classes walked once, keyed by (palette size, lex-least translate
+    of a level), a pair (u, v) marked as u * r + v.  The reference that the
+    search carried from each common prime is checked against; None when
+    only trivial colorings exist.
+    """
+    best, seen = None, set()
+    for a, b, _ in reduced_classes(n, r):
+        if a == b == 0 or a * r + b in seen:
+            continue
+        col = thk.Coloring.from_input(n, r, (a, b, 0))
+        levels = list(zip(col.left, col.middle, col.right))
+        seen.update([(x - z) % r * r + (y - z) % r for x, y, z in levels])
+        key = (len(col.palette), min([(y - x) % r * r + (z - x) % r for x, y, z in levels]))
+        if best is None or key < best:
+            best = key
+    return best and thk.Coloring.from_input(n, r, (0, *divmod(best[1], r)))
+
+
+def search_gated(n, r, budget):
+    """Whether mincol_exact(n, r, budget) runs the search: a least common
+    prime past the rules, and the gate on r**3 and the block steps."""
+    gu, g5 = mincol._reduced_system_params(n, r)
+    primes = mincol._common_primes(gu, g5)
+    return bool(primes) and primes[0] >= 13 and r**3 <= budget and r * gu * g5 * n <= budget
+
+
+class TestCarriedSearch:
+    # the search runs at each common prime p on THK(3, psi(p)) mod p and its
+    # witness is carried to (n, r); it must find what the search at r did
+    @staticmethod
+    def check(n, r, budget):
+        expected = composite_search(n, r)
+        verdict = mincol.mincol_exact(n, r, budget)
+        size = len(expected.palette)
+        assert f"upper-route-standard-diagram-search({size})" in verdict.provenance, (n, r)
+        if verdict.provenance[-1] == "upper-from-standard-diagram-search":
+            assert verdict.witness == expected, (n, r)
+            return
+        # a tie keeps the construction, so compare the carried witnesses themselves
+        carried = [
+            mincol._transport(thk.min_colors_standard(psi.psi_of_prime(p), p), n, r)[0]
+            for p in mincol._common_primes(*mincol._reduced_system_params(n, r))
+        ]
+        assert min(carried, key=lambda col: (len(col.palette), col.input_triple)) == expected, (n, r)
+        assert len(verdict.witness.palette) == size, (n, r)
+
+    def test_default_budget_up_to_r_100(self):
+        budget = mincol.DEFAULT_BRUTE_FORCE_BUDGET
+        cases = [(n, r) for r in range(2, 101) for n in range(1, 401) if search_gated(n, r, budget)]
+        assert len(cases) == 103 and 101**3 > budget  # so the gate admits no larger modulus
+        for n, r in cases:
+            self.check(n, r, budget)
+
+    def test_a_raised_budget_lets_the_search_answer_38_37(self):
+        # the default gate refuses it: 37^3 colorings over 38 blocks are
+        # 1,924,814 block steps, past 10^6; at 10^8 the search beats the
+        # construction's 29 colors
+        assert not any("standard-diagram-search" in step for step in mincol.mincol_exact(38, 37).provenance)
+        verdict = mincol.mincol_exact(38, 37, 10**8)
+        assert (verdict.lower, verdict.upper) == (5, 28)
+        assert verdict.provenance[-1] == "upper-from-standard-diagram-search"
+        assert verdict.witness == composite_search(38, 37)
+
+    @pytest.mark.parametrize(
+        "n, r", [(182, 169), (126, 221), (126, 247), (306, 289), (182, 338), (98, 377), (266, 481)]
+    )
+    def test_raised_budget_at_composite_moduli(self, n, r):
+        # two common primes, or a squared one, past the default gate
+        assert search_gated(n, r, 10**11) and not search_gated(n, r, mincol.DEFAULT_BRUTE_FORCE_BUDGET)
+        self.check(n, r, 10**11)

@@ -85,3 +85,39 @@ def test_modules_import_only_earlier_layers():
         earlier = LAYER_ORDER[:index]
         breaks += [(module, name) for name in relative_imports(path.read_text()) if name not in earlier]
     assert breaks == []
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """(line, "module._name") of each underscore name of another package
+    module that `source` reads: an attribute of a module bound by
+    `from . import module`, or a name imported by `from .module import _name`."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                reads.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reads += [(node.lineno, f"{node.module}.{a.name}") for a in node.names if a.name.startswith("_")]
+    return sorted(reads)
+
+
+def test_finds_a_private_read():
+    source = "from . import thk, zmod as z\nfrom .psi import _descend, psi\n"
+    source += "def f(n, r):\n    return thk._reduced_system_params(n, r), z.factor(r), z._rho\n"
+    source += "x = thk.Coloring\n"
+    assert private_reads(source) == [(2, "psi._descend"), (4, "thk._reduced_system_params"), (4, "zmod._rho")]
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_no_private_reads_across_modules(module):
+    # a module's underscore names are its own to change; a command module
+    # that reads one of another module's couples the two past their names
+    path = Path(turkshead.__file__).with_name(f"{module}.py")
+    assert private_reads(path.read_text()) == [], path.name
