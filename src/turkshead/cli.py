@@ -342,7 +342,7 @@ _INT = {"type": int}
 #: a function giving them)
 _GLOBAL_OPTIONS = (
     ("--format -f", {"choices": OUTPUT_FORMATS, "default": None}),
-    ("--budget", {"type": int, "default": None, "help": "max triples for exhaustive scans"}),
+    ("--budget", {"type": int, "default": None, "help": "max triples a scan or a search settles"}),
     (
         "--psi-cap",
         {

@@ -296,25 +296,25 @@ def mincol_exact(
     """Exact minimum-color verdict where the rules allow, else honest bounds.
 
     Past the rules, the construction at the common prime of least psi is
-    carried to (n, r).  Where the gate on r**3 and on the r * gu * g5 * n
-    block steps admits it, the search runs at each common prime p on
-    THK(3, psi(p)) mod p, and the least carried witness by (palette size,
-    input) is the standard diagram's lex-least minimum mod r:
+    carried to (n, r).  The search runs on THK(3, psi(p)) mod p at each
+    common prime p with p**3, the inputs it settles, within the budget; the
+    least carried witness by (palette size, input) replaces the construction
+    only with strictly fewer colors.  With every common prime searched, it
+    is the standard diagram's lex-least minimum mod r:
     - Its size, at any budget: a nontrivial coloring mod r with k colors,
       less a color and divided by the gcd g of its differences, reduces mod
       a prime q of r/g to a nontrivial q-coloring with at most k colors, so
       q is a common prime.  Lifting and stacking go back, keeping the
       palette: mod p every input closes on THK(3, psi(p)).
-    - Its input: the default gate admits only r <= 100, so a least common
-      prime of 13 or more is the only one, and r = s p with p not dividing
-      s.  Mod s every coloring is constant, so one mod r with first color 0
-      is s times one mod p, and multiplying by s keeps the lex order.
+    - Its input, where r = s p and s has no common prime: mod s every
+      coloring is constant, so one mod r with first color 0 is s times one
+      mod p, and multiplying by s keeps the lex order.  The tests check the
+      cases p^2 | r and two common primes against the search at r itself.
     """
     if n < 1:
         raise ValueError("diagram needs at least one block")
     check_modulus(r)
-    gu, g5 = _reduced_system_params(n, r)
-    primes = _common_primes(gu, g5)
+    primes = _common_primes(*_reduced_system_params(n, r))
     if not primes:
         return MincolVerdict(
             n, r, "only-trivial", None, None, None, ("no-nontrivial-colorings",)
@@ -344,8 +344,8 @@ def mincol_exact(
     label += "".join(f"+{step}" for step in steps)
     colors = len(witness.palette)
     provenance.append(f"upper-route-{label}({colors})")
-    if r**3 <= budget and r * gu * g5 * n <= budget:  # r * gu * g5 = count_colorings(n, r)
-        carried = [_transport(min_colors_standard(q, p), n, r)[0] for p, q in psis]
+    carried = [_transport(min_colors_standard(q, p), n, r)[0] for p, q in psis if p**3 <= budget]
+    if carried:
         found = min(carried, key=lambda w: (len(w.palette), w.input_triple))
         size = len(found.palette)
         provenance.append(f"upper-route-standard-diagram-search({size})")

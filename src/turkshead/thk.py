@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .zmod import check_modulus
+from .zmod import check_modulus, is_prime
 
 Triple = tuple[int, int, int]
 
@@ -102,41 +102,40 @@ class Coloring(namedtuple("Coloring", "n r left right palette")):
         return True
 
 
-def min_colors_standard(n: int, r: int) -> Coloring:
-    """Minimum palette over nontrivial colorings of the standard diagram,
-    mod an r at which every input closes after n blocks, such as a prime p
-    at n = psi(p), whose witness mincol carries to (n, r).  Any other
-    modulus raises ValueError at a class that does not close.
+def min_colors_standard(n: int, p: int) -> Coloring:
+    """The lex-least witness of minimum palette over nontrivial colorings of
+    the standard diagram mod a prime p at which every input closes after n
+    blocks, such as n = psi(p); mincol carries it to (n, r).  A composite
+    modulus raises ValueError before any walk, an input that does not close
+    at its walk.  Its palette size bounds the all-diagram minimum from above.
 
-    Returns the lexicographically least witness, whose palette has the
-    minimum size.  This is an upper bound for the diagram-free minimum,
-    which ranges over all diagrams of the knot.
+    Translating the colors, or multiplying them by a unit, keeps colorings
+    and palette sizes, so a level (x, y, z) counts only as its point of the
+    projective line, marked 0 when y = x, else 1 + (z - x)(y - x)^-1 mod p.
+    Its lex-least input up to both moves is (0, 0, 1) or (0, 1, mark - 1),
+    so marks order as those inputs do.  Every level is an input with the
+    same arc colors, so each block-map orbit of points is walked once, from
+    its first unseen point, and keyed by (palette size, least mark).
 
-    Translating every color by t maps colorings to colorings and keeps the
-    palette size, so only the classes (a, b, 0) matter, each marked by the
-    int a * r + b, which orders as the pair does (mark 0 is trivial).
-    Every level (x, y, z) of a coloring is itself an input with the same
-    arc-color set, in the class (x - z, y - z, 0).  So the classes fall into
-    orbits of the block map, and each orbit is walked once, from its first
-    unseen mark.  The lex-least input among the translates of a level is
-    (0, (y - x) mod r, (z - x) mod r); the witness is the least of these
-    over the levels of the optimal orbits, read off the columns as marks.
+    That is at most 2(p + 1) + 2n levels, not p^2 classes: on
+    (y - x, z - x) the block map is M: (u, v) -> (v, 3v - u), of
+    determinant 1.  If M^k first fixes the point of w, then M^k w = lam w.
+    For lam != +-1, M keeps the two eigenlines of M^k, so w lies on one of
+    the at most two eigenlines of M, each walked in at most n levels.
+    Otherwise M^(2k) w = w, and the walk covers its orbit at most twice.
     """
-    if n < 1:
-        raise ValueError("diagram needs at least one block")
-    check_modulus(r)
-    best: tuple[int, int] | None = None
-    seen: set[int] = set()
-    for mark in range(1, r * r):
-        if mark in seen:
+    if not is_prime(check_modulus(p)):
+        raise ValueError(f"the search needs a prime modulus, got {p}")
+    best = (p + 1, 0)  # a palette has at most p colors, so every walk beats it
+    seen = bytearray(p + 1)
+    for point in range(p + 1):
+        if seen[point]:
             continue
-        col = Coloring.from_input(n, r, (*divmod(mark, r), 0))
-        left, middle, right = col.left, col.middle, col.right
-        seen.update([(x - z) % r * r + (y - z) % r for x, y, z in zip(left, middle, right)])
-        k = len(col.palette)
-        if best is not None and k > best[0]:
-            continue
-        key = (k, min([(y - x) % r * r + (z - x) % r for x, y, z in zip(left, middle, right)]))
-        if best is None or key < best:
-            best = key
-    return Coloring.from_input(n, r, (0, *divmod(best[1], r)))
+        col = Coloring.from_input(n, p, (0, 1, point - 1) if point else (0, 0, 1))
+        levels = zip(col.left, col.middle, col.right)
+        marks = [0 if y == x else 1 + (z - x) * pow(y - x, -1, p) % p for x, y, z in levels]
+        for mark in marks:
+            seen[mark] = 1
+        best = min(best, (len(col.palette), min(marks)))
+    mark = best[1]
+    return Coloring.from_input(n, p, (0, 1, mark - 1) if mark else (0, 0, 1))

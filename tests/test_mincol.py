@@ -491,7 +491,7 @@ def test_verdict_grid_digest():
             cli.write_json(mincol.mincol_exact(n, r), out.append)
             digest.update("".join(out).encode())
     assert digest.hexdigest() == (
-        "be78e24967e1756cb7b58475433c7a8d3b4cf9b6afebc60a2e333090f968ba15"
+        "24482834997bae59326822ca9f22e3bf1d87c0d4483dcb3d26825dba38cf79e6"
     )
 
 

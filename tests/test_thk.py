@@ -1,8 +1,14 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from turkshead import cli, mincol, psi, thk, verify
+from turkshead import cli, mincol, psi, thk, verify, zmod
+
+# the benchmark's answer checker, arithmetic written apart from the program
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import oracle  # noqa: E402
 
 # the 7-coloring of THK(3, 8) induced by (0, 1, 0)
 SEVEN_COLORING_TRACE = [
@@ -224,7 +230,11 @@ class TestMinColorsStandard:
         for n in range(1, 31):
             for r in range(2, 21):
                 expected = self.oracle_minimum(n, r)
-                if mincol.count_colorings(n, r) < r**3:
+                if not zmod.is_prime(r):
+                    # refused before any walk
+                    with pytest.raises(ValueError, match="prime modulus"):
+                        thk.min_colors_standard(n, r)
+                elif mincol.count_colorings(n, r) < r**3:
                     # some input does not close, so the search refuses the modulus
                     with pytest.raises(ValueError, match="does not close"):
                         thk.min_colors_standard(n, r)
@@ -240,6 +250,7 @@ class TestMinColorsStandard:
                         assert verdict.witness == thk.Coloring.from_input(n, r, expected[1])
                 else:
                     assert not any("standard-diagram-search" in step for step in verdict.provenance)
+        # psi(13) = 14, psi(17) = 18 and psi(19) = 9: their multiples up to 30
         assert searched == 6
 
     @pytest.mark.parametrize("n, r, period", [(42, 13, 14), (54, 17, 18), (48, 23, 24)])
@@ -259,20 +270,24 @@ class TestMinColorsStandard:
             "from_input",
             classmethod(lambda cls, *args: calls.append(args) or from_input(*args)),
         )
-        for n, r, palette in [(7, 29, 7), (196, 13, 9)]:
+        for n, p, palette in [(7, 29, 7), (196, 13, 9)]:
             calls.clear()
-            assert len(thk.min_colors_standard(n, r).palette) == palette
-            # the levels of one orbit, translated to third color 0, are the
-            # nontrivial classes (a, b, 0), one each; every input closes here
-            assert mincol.count_colorings(n, r) == r**3
-            reps = {(a, b) for a in range(r) for b in range(r)} - {(0, 0)}
-            orbits = {
-                frozenset(((x - z) % r, (y - z) % r) for x, y, z in verify.propagate((a, b, 0), r, n))
-                for a, b in reps
-            }
-            assert set().union(*orbits) == reps
-            # one walk per orbit, plus the witness
-            assert len(calls) == len(orbits) + 1, (n, r)
+            assert len(thk.min_colors_standard(n, p).palette) == palette
+            # every input closes here, and up to translation and units the
+            # nontrivial levels are the p + 1 points of the projective line,
+            # (0, 0, 1) and (0, 1, c); the levels of one orbit are its points
+            assert mincol.count_colorings(n, p) == p**3
+            points = [(0, 0, 1)] + [(0, 1, c) for c in range(p)]
+
+            def point(level):
+                x, y, z = level
+                return (0, 0, 1) if y == x else (0, 1, (z - x) * pow(y - x, -1, p) % p)
+
+            orbits = {frozenset(map(point, verify.propagate(t, p, n))) for t in points}
+            assert set().union(*orbits) == set(points)
+            # one walk per orbit, from its least point, plus the witness
+            walked = [args[2] for args in calls]
+            assert walked[:-1] == sorted(min(orbit) for orbit in orbits), (n, p)
 
     def test_matches_exhaustive_minimum(self):
         for n, r in [(5, 11), (7, 29)]:
@@ -307,10 +322,9 @@ def composite_search(n, r):
 
 def search_gated(n, r, budget):
     """Whether mincol_exact(n, r, budget) runs the search: a least common
-    prime past the rules, and the gate on r**3 and the block steps."""
-    gu, g5 = mincol._reduced_system_params(n, r)
-    primes = mincol._common_primes(gu, g5)
-    return bool(primes) and primes[0] >= 13 and r**3 <= budget and r * gu * g5 * n <= budget
+    prime p past the rules, with p**3 within the budget."""
+    primes = mincol._common_primes(*mincol._reduced_system_params(n, r))
+    return bool(primes) and 13 <= primes[0] and primes[0] ** 3 <= budget
 
 
 class TestCarriedSearch:
@@ -336,24 +350,67 @@ class TestCarriedSearch:
     def test_default_budget_up_to_r_100(self):
         budget = mincol.DEFAULT_BRUTE_FORCE_BUDGET
         cases = [(n, r) for r in range(2, 101) for n in range(1, 401) if search_gated(n, r, budget)]
-        assert len(cases) == 103 and 101**3 > budget  # so the gate admits no larger modulus
+        assert len(cases) == 640 and 101**3 > budget  # so the gate admits no prime past 100
         for n, r in cases:
             self.check(n, r, budget)
 
     def test_a_raised_budget_lets_the_search_answer_38_37(self):
-        # the default gate refuses it: 37^3 colorings over 38 blocks are
-        # 1,924,814 block steps, past 10^6; at 10^8 the search beats the
-        # construction's 29 colors
-        assert not any("standard-diagram-search" in step for step in mincol.mincol_exact(38, 37).provenance)
-        verdict = mincol.mincol_exact(38, 37, 10**8)
+        # 37^3 is within the default budget, and the search beats the
+        # construction's 29 colors; its witness is the exhaustive minimum
+        verdict = mincol.mincol_exact(38, 37)
         assert (verdict.lower, verdict.upper) == (5, 28)
         assert verdict.provenance[-1] == "upper-from-standard-diagram-search"
+        assert verdict.witness.input_triple == (0, 1, 4)
+        assert TestMinColorsStandard.oracle_minimum(38, 37) == (28, (0, 1, 4))
         assert verdict.witness == composite_search(38, 37)
+        # the gate is p^3 <= budget: one triple short of 37^3 the search does not run
+        assert mincol.mincol_exact(38, 37, 37**3) == verdict
+        below = mincol.mincol_exact(38, 37, 37**3 - 1)
+        assert (below.lower, below.upper) == (5, 29)
+        assert not any("standard-diagram-search" in step for step in below.provenance)
 
     @pytest.mark.parametrize(
         "n, r", [(182, 169), (126, 221), (126, 247), (306, 289), (182, 338), (98, 377), (266, 481)]
     )
     def test_raised_budget_at_composite_moduli(self, n, r):
-        # two common primes, or a squared one, past the default gate
-        assert search_gated(n, r, 10**11) and not search_gated(n, r, mincol.DEFAULT_BRUTE_FORCE_BUDGET)
+        # two common primes, or a squared one; the gate reads only the primes,
+        # so a raised budget answers as the default does
+        assert search_gated(n, r, mincol.DEFAULT_BRUTE_FORCE_BUDGET)
         self.check(n, r, 10**11)
+        assert mincol.mincol_exact(n, r, 10**11) == mincol.mincol_exact(n, r)
+
+    def test_searched_verdicts_pass_the_benchmark_oracle(self):
+        # every verdict with n <= 400, 13 <= r <= 300 that runs the search at
+        # the default budget, checked by bench/oracle.py from its JSON line;
+        # the searched size is the search at r itself, and so is a taken witness
+        checker, sizes, taken, squared, two = oracle.Checker(), 0, 0, 0, 0
+        pairs = {
+            (n, r)
+            for p in zmod.primes_up_to(97)[5:]
+            for r in range(p, 301, p)
+            for n in range(psi.psi_of_prime(p), 401, psi.psi_of_prime(p))
+        }
+        for n, r in sorted(pairs):
+            if not search_gated(n, r, mincol.DEFAULT_BRUTE_FORCE_BUDGET):
+                continue
+            verdict, out = mincol.mincol_exact(n, r), []
+            cli.write_json(verdict, out.append)
+            assert checker.mincol(n, r, json.loads("".join(out))) == [], (n, r)
+            expected = composite_search(n, r)
+            assert f"upper-route-standard-diagram-search({len(expected.palette)})" in verdict.provenance
+            sizes += 1
+            if verdict.provenance[-1] == "upper-from-standard-diagram-search":
+                assert verdict.witness == expected, (n, r)
+                taken += 1
+            primes = mincol._common_primes(*mincol._reduced_system_params(n, r))
+            squared += r % primes[0] ** 2 == 0
+            two += len(primes) == 2
+        assert (sizes, taken, squared, two) == (1675, 63, 50, 8)
+
+    def test_matches_the_search_over_all_classes_at_each_prime(self):
+        # the projective-line walk finds the witness of the search over
+        # all p^2 classes (a, b, 0), on one period and on two
+        for p in zmod.primes_up_to(99)[3:]:
+            q = psi.psi_of_prime(p)
+            for n in (q, 2 * q):
+                assert thk.min_colors_standard(n, p) == composite_search(n, p), (n, p)
